@@ -3,23 +3,20 @@
 
 Usage: strip_mode_keys.py <a.json> <b.json> [label]
 
-The pipeline-smoke, compiled-smoke, and compressed-smoke CI jobs run
-the same program under different execution modes (serial vs the batched
-ring, the tree-walking interpreter vs the bytecode tier, raw vs
-grammar-compressed trace replay) and require the reports to be
-identical except for the keys that merely describe *how* the run
-executed (`pipeline`, `replay_workers`, `detect_workers`, `compiled`,
-`compressed`, `trace_bytes`, `memo`, and the input `file` path) —
-races, counters, and space accounting must match byte for byte.
+The compiled-smoke and compressed-smoke CI jobs run the same program
+under different execution modes (the tree-walking interpreter vs the
+bytecode tier, serial vs replayed detection, raw vs grammar-compressed
+trace replay) and require the reports to be identical except for the
+keys that merely describe *how* the run executed (`replay_workers`,
+`compiled`, `compressed`, `trace_bytes`, `memo`, and the input `file`
+path) — races, counters, and space accounting must match byte for byte.
 """
 
 import json
 import sys
 
 MODE_KEYS = {
-    "pipeline",
     "replay_workers",
-    "detect_workers",
     "compiled",
     "compressed",
     "trace_bytes",

@@ -3,7 +3,7 @@
 //! The tree-walking [`Interp`](crate::Interp) pays for a `HashMap`
 //! environment lookup per variable mention, a `Vec<Work>` push/pop per
 //! statement, and `Box<Expr>` pointer-chasing per operator. Once the
-//! detectors got fast (dense slab shadow stores, pipelined rings), that
+//! detectors got fast (dense slab shadow stores, inline vector clocks), that
 //! interpretive overhead became the dominant cost of every experiment —
 //! and the BigFoot overhead ratios are only honest when the *baseline*
 //! execution is fast, which is also how the paper's StaticBF placements

@@ -52,7 +52,7 @@
 //! number of skipped repetitions.
 
 use crate::detector::{ArrayEngine, CheckSource};
-use crate::replay::{detect_and_merge_parts, Annotator, Item, ItemSink, ReplayConfig, ShardQueues};
+use crate::replay::{detect_and_merge, Annotator, Item, ItemSink, ReplayConfig, ShardQueues};
 use crate::stats::Stats;
 use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
 use bigfoot_bfj::trace::TraceError;
@@ -572,7 +572,7 @@ pub fn replay_compressed_report(
     bigfoot_obs::trace_counter!("replay.memo.skipped_events", report.skipped_events);
     let (engine, sink, probe_fp_space, stats) = walker.ann.into_parts();
     Ok((
-        detect_and_merge_parts(engine, sink.queues.0, probe_fp_space, stats, config.workers),
+        detect_and_merge(engine, sink.queues.0, probe_fp_space, stats, config.workers),
         report,
     ))
 }

@@ -7,26 +7,18 @@
 //!
 //! See [`Detector`] for the configuration matrix and usage.
 
-pub mod channel;
 mod creplay;
 mod detector;
 mod djit;
-mod pipeline;
 mod precision;
 mod replay;
-mod sharded;
 mod stats;
 mod sync;
 
 pub use creplay::{replay_compressed, replay_compressed_report, CompressedReplayReport};
 pub use detector::{ArrayEngine, CheckSource, Detector, ProxyTable};
 pub use djit::{DjitDetector, DjitState};
-pub use pipeline::{
-    detect_pipelined, run_pipelined, BatchSink, PipelineConfig, DEFAULT_BATCH_EVENTS,
-    DEFAULT_RING_SLOTS,
-};
 pub use precision::{verify_precise_checks, PrecisionError};
-pub use replay::{replay_pipelined, replay_trace, ReplayConfig, TraceReader, SHARDS};
-pub use sharded::{djit_sharded, replay_sharded};
+pub use replay::{replay_trace, ReplayConfig, TraceReader, SHARDS};
 pub use stats::{CoarseTarget, Race, RaceTarget, Stats};
 pub use sync::SyncClocks;

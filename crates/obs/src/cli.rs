@@ -9,6 +9,10 @@
 //! * declared switch flags take no value;
 //! * anything else starting with `--` is an error;
 //! * remaining tokens are positionals, in order.
+//!
+//! [`CliError`] separates a wrong command line, which the binaries answer
+//! with their usage banner and exit code 2, from work that failed on a
+//! well-formed command line, which they report with the message alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -100,6 +104,40 @@ impl CliArgs {
                 .copied()
                 .ok_or_else(|| format!("{name} must be one of {}", allowed.join("|"))),
         }
+    }
+}
+
+/// Why a command stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// The command line is wrong: an unknown command or flag, a bad
+    /// value, or contradictory flags.
+    Usage(String),
+    /// The command line is fine but the work failed: an I/O or runtime
+    /// error, or a gate that did not hold.
+    Failed(String),
+}
+
+impl CliError {
+    /// The message, without its class.
+    pub fn message(&self) -> &str {
+        match self {
+            CliError::Usage(m) | CliError::Failed(m) => m,
+        }
+    }
+}
+
+/// Argument-parsing helpers return `String` errors; `?` turns them into
+/// usage errors.
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> CliError {
+        CliError::Usage(msg.to_owned())
     }
 }
 

@@ -154,8 +154,8 @@ pub fn count_named(name: &str, n: u64) {
 
 /// Raises a named max-gauge to at least `value` (`fetch_max`), interning
 /// the name like [`count_named`]. Use for high-water marks that are
-/// flushed per run — flushing twice reports the max, not the sum (the
-/// `pipeline.depth_max` regression [`count_named`] could not express).
+/// flushed per run — flushing twice reports the max, not the sum, which
+/// [`count_named`] cannot express.
 pub fn gauge_max_named(name: &str, value: u64) {
     if !crate::enabled() {
         return;

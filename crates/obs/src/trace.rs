@@ -6,8 +6,8 @@
 //! begin/end pairs, instant markers, and sampled counter values into its
 //! own fixed-size ring on a process-wide monotonic clock. Recording is a
 //! handful of relaxed/release stores into thread-owned slots — no locks,
-//! no allocation after the ring exists — so it is safe on the pipeline's
-//! backpressure paths. When a ring fills, the oldest events are
+//! no allocation after the ring exists — so it is safe on the detector's
+//! hot paths. When a ring fills, the oldest events are
 //! overwritten (**drop-oldest**): a recorder that has been running for
 //! minutes still holds the most recent window, and the number of
 //! overwritten events is tracked exactly (surfaced as the

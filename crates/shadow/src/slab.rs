@@ -186,9 +186,19 @@ impl<K: SlabKey, T> Slab<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `forced_map_mode_routes_to_spill` flips the process-global
+    /// force-map flag; the other tests insert dense keys and must not run
+    /// while it is set.
+    fn flag_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn dense_roundtrip_and_values() {
+        let _flag = flag_lock();
         let mut s: Slab<u32, String> = Slab::new();
         assert!(s.is_empty());
         for k in 0..100u32 {
@@ -206,6 +216,7 @@ mod tests {
 
     #[test]
     fn strided_keys_stay_dense() {
+        let _flag = flag_lock();
         let mut s: Slab<u32, u64> = Slab::with_stride(64);
         for k in (3..6403u32).step_by(64) {
             s.insert(k, k as u64);
@@ -219,6 +230,7 @@ mod tests {
 
     #[test]
     fn sparse_ids_spill() {
+        let _flag = flag_lock();
         let mut s: Slab<u32, u8> = Slab::new();
         s.insert(5, 1);
         s.insert(u32::MAX, 2);
@@ -232,6 +244,7 @@ mod tests {
 
     #[test]
     fn forced_map_mode_routes_to_spill() {
+        let _flag = flag_lock();
         set_force_map_store(true);
         let mut s: Slab<u32, u8> = Slab::new();
         s.insert(0, 7);
