@@ -1,8 +1,9 @@
 //! Criterion micro-benches for the entailment engine (the Z3 stand-in):
-//! Fourier–Motzkin queries, range subsumption, and the §4 coalescer.
+//! Fourier–Motzkin queries, the per-run verdict cache, range subsumption,
+//! and the §4 coalescer.
 
 use bigfoot_bfj::parse_expr;
-use bigfoot_entail::{coalesce, covered_by_union, linearize, Kb, SymRange};
+use bigfoot_entail::{coalesce, covered_by_union, linearize, Kb, SymRange, Verdicts};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn kb_with(facts: &[&str]) -> Kb {
@@ -36,6 +37,48 @@ fn bench_entailment(c: &mut Criterion) {
         b.iter(|| {
             let mut kb = kb_with(&facts);
             kb.entails(&q)
+        })
+    });
+    c.bench_function("entails/shared_verdicts", |b| {
+        // A loop body's history: the renamed counter, its bounds, array
+        // lengths, and a few derived locals.
+        let facts = [
+            "i == ip + 1",
+            "ip >= 0",
+            "ip < n",
+            "n == a.length",
+            "lo >= 0",
+            "lo <= ip",
+            "hi == n",
+            "j == i",
+            "k >= 0",
+            "k < m",
+            "m <= n",
+            "s == 0",
+            "t >= s",
+            "b.length == n",
+            "x == lo + 2",
+            "y <= x",
+        ]
+        .map(|f| parse_expr(f).unwrap());
+        let queries = [
+            "i <= n",
+            "ip + 1 <= a.length",
+            "lo < i",
+            "k < n",
+            "j <= b.length",
+        ]
+        .map(|q| parse_expr(q).unwrap());
+        // Two Kbs of one run asking the same questions: the first decides
+        // them, the second is answered from the shared cache.
+        b.iter(|| {
+            let verdicts = Verdicts::new();
+            let mut proved = 0;
+            for _ in 0..2 {
+                let mut kb = Kb::from_facts(&verdicts, &facts, &[]);
+                proved += queries.iter().filter(|q| kb.entails(q)).count();
+            }
+            proved
         })
     });
     c.bench_function("range/union_coverage", |b| {

@@ -277,7 +277,7 @@ impl Binop {
 }
 
 /// Heap-free expressions over locals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),

@@ -10,7 +10,7 @@ use crate::facts::{APath, Anticipated, History, PathFact};
 use crate::killset::KillSets;
 use crate::readset::FactView;
 use bigfoot_bfj::{AccessKind, Block, Expr, Stmt, StmtId, StmtKind};
-use bigfoot_entail::{linearize, SymRange};
+use bigfoot_entail::{linearize, SymRange, Verdicts};
 use std::collections::HashMap;
 
 /// Maximum greatest-fixed-point iterations for loop anticipation.
@@ -27,7 +27,8 @@ pub struct ATables {
     pub loop_head: HashMap<StmtId, Anticipated>,
 }
 
-/// Runs the backward pass over a method body.
+/// Runs the backward pass over a method body, with a verdict cache of its
+/// own.
 ///
 /// `h_pre` gives the history (bool/alias facts) before each statement,
 /// from the forward pre-pass; it sharpens the entailment used when merging
@@ -38,19 +39,27 @@ pub fn anticipate_body(
     volatiles: &std::collections::HashSet<bigfoot_bfj::Sym>,
     h_pre: &HashMap<StmtId, History>,
 ) -> ATables {
-    anticipate_body_view(body, FactView::new(kills, volatiles), h_pre)
+    anticipate_body_view(
+        body,
+        FactView::new(kills, volatiles),
+        h_pre,
+        &Verdicts::new(),
+    )
 }
 
 /// [`anticipate_body`] over a [`FactView`], which may log every
-/// cross-method fact query into a read-set for incremental re-analysis.
+/// cross-method fact query into a read-set for incremental re-analysis,
+/// answering entailment queries through the run's shared `verdicts`.
 pub fn anticipate_body_view(
     body: &Block,
     facts: FactView<'_>,
     h_pre: &HashMap<StmtId, History>,
+    verdicts: &Verdicts,
 ) -> ATables {
     let mut bw = BackwardPass {
         facts,
         h_pre,
+        verdicts,
         tables: ATables::default(),
     };
     // Nothing is anticipated at method end.
@@ -61,6 +70,7 @@ pub fn anticipate_body_view(
 struct BackwardPass<'a> {
     facts: FactView<'a>,
     h_pre: &'a HashMap<StmtId, History>,
+    verdicts: &'a Verdicts,
     tables: ATables,
 }
 
@@ -188,7 +198,7 @@ impl BackwardPass<'_> {
                     .and_then(|s| self.h_pre.get(&s.id))
                     .cloned()
                     .unwrap_or_default();
-                meet(&a1, &h1, &a2, &h2)
+                meet(&a1, &h1, &a2, &h2, self.verdicts)
             }
             StmtKind::Loop { head, exit, tail } => {
                 // Greatest fixed point: A_head must survive
@@ -205,9 +215,13 @@ impl BackwardPass<'_> {
                 let mut a_head = seed_candidates(head, tail);
                 for _ in 0..MAX_LOOP_ITERS {
                     let a_tail_pre = self.block_quiet(tail, a_head.clone());
-                    let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx);
-                    let next =
-                        intersect_entailed(&self.block_quiet(head, a_junction), &a_head, &h_ctx);
+                    let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx, self.verdicts);
+                    let next = intersect_entailed(
+                        &self.block_quiet(head, a_junction),
+                        &a_head,
+                        &h_ctx,
+                        self.verdicts,
+                    );
                     if next == a_head {
                         break;
                     }
@@ -216,7 +230,7 @@ impl BackwardPass<'_> {
                 // Final pass to record per-statement tables with the
                 // converged sets.
                 let a_tail_pre = self.block(tail, a_head.clone());
-                let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx);
+                let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx, self.verdicts);
                 let a_pre = self.block(head, a_junction);
                 self.tables.loop_head.insert(s.id, a_head.clone());
                 let _ = exit;
@@ -241,9 +255,15 @@ impl BackwardPass<'_> {
 
 /// The meet of two anticipated sets under their histories: a fact survives
 /// if both sides anticipate an access covering it.
-fn meet(a1: &Anticipated, h1: &History, a2: &Anticipated, h2: &History) -> Anticipated {
-    let mut kb1 = h1.kb();
-    let mut kb2 = h2.kb();
+fn meet(
+    a1: &Anticipated,
+    h1: &History,
+    a2: &Anticipated,
+    h2: &History,
+    verdicts: &Verdicts,
+) -> Anticipated {
+    let mut kb1 = h1.kb(verdicts);
+    let mut kb2 = h2.kb(verdicts);
     let mut out = Anticipated::new();
     for f in a1.facts.iter().chain(a2.facts.iter()) {
         if a1.covers(&mut kb1, f) && a2.covers(&mut kb2, f) {
@@ -255,8 +275,13 @@ fn meet(a1: &Anticipated, h1: &History, a2: &Anticipated, h2: &History) -> Antic
 
 /// Keeps the facts of `a` entailed by `bound` (forcing fixed-point
 /// descent).
-fn intersect_entailed(a: &Anticipated, bound: &Anticipated, h: &History) -> Anticipated {
-    let mut kb = h.kb();
+fn intersect_entailed(
+    a: &Anticipated,
+    bound: &Anticipated,
+    h: &History,
+    verdicts: &Verdicts,
+) -> Anticipated {
+    let mut kb = h.kb(verdicts);
     let mut out = Anticipated::new();
     for f in &a.facts {
         if bound.covers(&mut kb, f) {

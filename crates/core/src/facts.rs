@@ -10,7 +10,7 @@
 //! guaranteed on every path to the next acquire.
 
 use bigfoot_bfj::{pretty_expr, AccessKind, Expr, Path, Sym};
-use bigfoot_entail::{linearize, AliasRhs, Kb, Lin, SymRange};
+use bigfoot_entail::{linearize, AliasRhs, Kb, Lin, SymRange, Verdicts};
 
 /// An analysis path: a single object field or a symbolic array range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,16 +215,10 @@ impl History {
         History::default()
     }
 
-    /// Builds a [`Kb`] from the boolean and alias facts.
-    pub fn kb(&self) -> Kb {
-        let mut kb = Kb::new();
-        for b in &self.bools {
-            kb.assume(b);
-        }
-        for (x, rhs) in &self.aliases {
-            kb.assume_alias(*x, rhs.clone());
-        }
-        kb
+    /// Builds a [`Kb`] from the boolean and alias facts, sharing
+    /// `verdicts` with the analysis run's other `Kb`s.
+    pub fn kb(&self, verdicts: &Verdicts) -> Kb {
+        Kb::from_facts(verdicts, &self.bools, &self.aliases)
     }
 
     /// Adds a boolean fact (deduplicated syntactically, capped to keep
@@ -538,7 +532,7 @@ mod tests {
             path: field("p", "x"),
             kind: AccessKind::Write,
         });
-        let mut kb = h.kb();
+        let mut kb = h.kb(&Verdicts::new());
         assert!(h.covered_by_check(
             &mut kb,
             &PathFact {
@@ -552,7 +546,7 @@ mod tests {
             path: field("p", "x"),
             kind: AccessKind::Read,
         });
-        let mut kb2 = h2.kb();
+        let mut kb2 = h2.kb(&Verdicts::new());
         assert!(!h2.covered_by_check(
             &mut kb2,
             &PathFact {
@@ -585,7 +579,7 @@ mod tests {
             path: field("x", "g"),
             kind: AccessKind::Read,
         });
-        let mut kb = h.kb();
+        let mut kb = h.kb(&Verdicts::new());
         assert!(h.covered_by_check(
             &mut kb,
             &PathFact {
@@ -642,7 +636,7 @@ mod tests {
             },
             kind: AccessKind::Write,
         });
-        let mut kb = h.kb();
+        let mut kb = h.kb(&Verdicts::new());
         let query = PathFact {
             path: APath::Arr {
                 base: Sym::intern("a"),

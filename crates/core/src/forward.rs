@@ -20,7 +20,7 @@ use crate::facts::{APath, Anticipated, History, PathFact};
 use crate::killset::KillSets;
 use crate::readset::FactView;
 use bigfoot_bfj::{AccessKind, Binop, Block, Expr, Stmt, StmtId, StmtKind, Sym, Unop};
-use bigfoot_entail::{linearize, AliasRhs, Lin, SymRange};
+use bigfoot_entail::{linearize, AliasRhs, Lin, SymRange, Verdicts};
 use std::collections::{HashMap, HashSet};
 
 /// Maximum iterations of the loop-invariant greatest fixed point.
@@ -55,41 +55,42 @@ impl Default for PlacementOptions {
     }
 }
 
-/// Runs the forward pass. With `at = None` this is the recording pre-pass;
-/// with anticipated tables it is the placement pass. Returns the rewritten
-/// body and the tables.
+/// Runs the forward pass with default [`PlacementOptions`] and a verdict
+/// cache of its own. With `at = None` this is the recording pre-pass; with
+/// anticipated tables it is the placement pass. Returns the rewritten body
+/// and the tables.
 pub fn forward_pass(
     body: &Block,
     kills: &KillSets,
     volatiles: &HashSet<Sym>,
     at: Option<&ATables>,
 ) -> (Block, ForwardTables) {
-    forward_pass_opts(body, kills, volatiles, at, PlacementOptions::default())
+    let facts = FactView::new(kills, volatiles);
+    forward_pass_view(
+        body,
+        facts,
+        at,
+        PlacementOptions::default(),
+        &Verdicts::new(),
+    )
 }
 
-/// [`forward_pass`] with explicit [`PlacementOptions`].
-pub fn forward_pass_opts(
-    body: &Block,
-    kills: &KillSets,
-    volatiles: &HashSet<Sym>,
-    at: Option<&ATables>,
-    opts: PlacementOptions,
-) -> (Block, ForwardTables) {
-    forward_pass_view(body, FactView::new(kills, volatiles), at, opts)
-}
-
-/// [`forward_pass_opts`] over a [`FactView`], which may log every
-/// cross-method fact query into a read-set for incremental re-analysis.
+/// [`forward_pass`] over a [`FactView`], which may log every cross-method
+/// fact query into a read-set for incremental re-analysis, with explicit
+/// [`PlacementOptions`], answering entailment queries through the
+/// analysis run's shared `verdicts`.
 pub fn forward_pass_view(
     body: &Block,
     facts: FactView<'_>,
     at: Option<&ATables>,
     opts: PlacementOptions,
+    verdicts: &Verdicts,
 ) -> (Block, ForwardTables) {
     let mut f = Fwd {
         facts,
         at,
         opts,
+        verdicts,
         tables: ForwardTables::default(),
     };
     let (mut stmts, mut h) = f.block(&body.stmts, History::new());
@@ -103,6 +104,7 @@ struct Fwd<'a> {
     facts: FactView<'a>,
     at: Option<&'a ATables>,
     opts: PlacementOptions,
+    verdicts: &'a Verdicts,
     tables: ForwardTables,
 }
 
@@ -139,7 +141,7 @@ impl Fwd<'_> {
         against: Option<&History>,
         excuse: Option<&Anticipated>,
     ) -> Vec<PathFact> {
-        let mut kb = h.kb();
+        let mut kb = h.kb(self.verdicts);
         let mut out = Vec::new();
         for f in &h.accesses {
             if let Some(m) = against {
@@ -166,7 +168,7 @@ impl Fwd<'_> {
         if facts.is_empty() {
             return;
         }
-        let mut kb = h.kb();
+        let mut kb = h.kb(self.verdicts);
         if let Some(stmt) = crate::coalesce::emit_check_opts(&mut kb, facts, self.opts.coalescing) {
             out.push(stmt);
         }
@@ -183,7 +185,7 @@ impl Fwd<'_> {
             return;
         }
         let affected: Vec<PathFact> = {
-            let mut kb = h.kb();
+            let mut kb = h.kb(self.verdicts);
             h.accesses
                 .iter()
                 .filter(|f| f.path.mentions(x) && !h.covered_by_check(&mut kb, f))
@@ -463,7 +465,7 @@ impl Fwd<'_> {
                 let (mut rb2, mut h2p) = self.block(&else_b.stmts, h2);
                 let a_out = self.a_post(s.id);
                 // Accesses surviving the merge: entailed on both sides.
-                let merged_acc = merge_accesses(&h1p, &h2p);
+                let merged_acc = merge_accesses(&h1p, &h2p, self.verdicts);
                 let merged_hist = History {
                     accesses: merged_acc,
                     ..History::new()
@@ -473,7 +475,7 @@ impl Fwd<'_> {
                 self.emit(&mut h1p, &c1, &mut rb1);
                 let c2 = self.pending(&h2p, Some(&merged_hist), Some(&a_out));
                 self.emit(&mut h2p, &c2, &mut rb2);
-                let hout = merge(&h1p, &h2p, merged_hist.accesses);
+                let hout = merge(&h1p, &h2p, merged_hist.accesses, self.verdicts);
                 out.push(Stmt::new(StmtKind::If {
                     cond: cond.clone(),
                     then_b: Block { stmts: rb1 },
@@ -670,13 +672,13 @@ impl Fwd<'_> {
             bigfoot_obs::count!("static.loop_invariant.iterations");
             let before = (inv.bools.len(), inv.aliases.len(), inv.accesses.len());
             // Entry.
-            prune_by(&mut inv, h_in);
+            prune_by(&mut inv, h_in, self.verdicts);
             // Back edge: simulate the body from the candidate invariant.
             let (_, hj) = self.block(&head.stmts, inv.clone());
             let mut hb = hj;
             hb.add_bool(negate(exit));
             let (_, hback) = self.block(&tail.stmts, hb);
-            prune_by(&mut inv, &hback);
+            prune_by(&mut inv, &hback, self.verdicts);
             if before == (inv.bools.len(), inv.aliases.len(), inv.accesses.len()) {
                 break;
             }
@@ -686,8 +688,8 @@ impl Fwd<'_> {
 }
 
 /// Removes candidate facts of `inv` not entailed by `ctx`.
-fn prune_by(inv: &mut History, ctx: &History) {
-    let mut kb = ctx.kb();
+fn prune_by(inv: &mut History, ctx: &History, verdicts: &Verdicts) {
+    let mut kb = ctx.kb(verdicts);
     inv.bools.retain(|b| kb.entails(b));
     inv.aliases.retain(|al| ctx.aliases.contains(al));
     let accesses = std::mem::take(&mut inv.accesses);
@@ -698,9 +700,9 @@ fn prune_by(inv: &mut History, ctx: &History) {
 }
 
 /// Access facts surviving a branch merge: entailed on both sides.
-fn merge_accesses(h1: &History, h2: &History) -> Vec<PathFact> {
-    let mut kb1 = h1.kb();
-    let mut kb2 = h2.kb();
+fn merge_accesses(h1: &History, h2: &History, verdicts: &Verdicts) -> Vec<PathFact> {
+    let mut kb1 = h1.kb(verdicts);
+    let mut kb2 = h2.kb(verdicts);
     let mut out: Vec<PathFact> = Vec::new();
     for f in h1.accesses.iter().chain(h2.accesses.iter()) {
         if out.contains(f) {
@@ -714,9 +716,14 @@ fn merge_accesses(h1: &History, h2: &History) -> Vec<PathFact> {
 }
 
 /// Full history merge at a branch join (`⊓`).
-fn merge(h1: &History, h2: &History, merged_accesses: Vec<PathFact>) -> History {
-    let mut kb1 = h1.kb();
-    let mut kb2 = h2.kb();
+fn merge(
+    h1: &History,
+    h2: &History,
+    merged_accesses: Vec<PathFact>,
+    verdicts: &Verdicts,
+) -> History {
+    let mut kb1 = h1.kb(verdicts);
+    let mut kb2 = h2.kb(verdicts);
     let mut out = History::new();
     for b in h1.bools.iter().chain(h2.bools.iter()) {
         if !out.bools.contains(b) && kb1.entails(b) && kb2.entails(b) {

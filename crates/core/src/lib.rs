@@ -68,9 +68,7 @@ pub use cache::{CacheEntry, CacheError, PlacementCache, CACHE_FILE, CACHE_MAGIC,
 pub use cleanup::{cleanup_body, cleanup_program};
 pub use coalesce::{emit_check, emit_check_opts};
 pub use facts::{path_subsumes, APath, Anticipated, History, PathFact};
-pub use forward::{
-    forward_pass, forward_pass_opts, forward_pass_view, ForwardTables, PlacementOptions,
-};
+pub use forward::{forward_pass, forward_pass_view, ForwardTables, PlacementOptions};
 pub use killset::{scan_method_body, volatile_fields, Effects, KillSets, KillSummary};
 pub use pipeline::{
     config_fingerprint, count_checks, instrument, instrument_incremental, instrument_with,

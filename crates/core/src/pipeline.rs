@@ -1,16 +1,17 @@
 //! The end-to-end S TATIC BF pipeline: freshen → forward pre-pass →
 //! backward anticipation → placement → cleanup → field-proxy analysis.
 
-use crate::backward::{anticipate_body, anticipate_body_view};
+use crate::backward::anticipate_body_view;
 use crate::cache::{CacheEntry, PlacementCache, CACHE_VERSION};
 use crate::cleanup::cleanup_program;
-use crate::forward::{forward_pass_opts, forward_pass_view, PlacementOptions};
+use crate::forward::{forward_pass_view, PlacementOptions};
 use crate::killset::{scan_method_body, volatile_fields, KillSets, KillSummary};
 use crate::proxy::field_proxies;
 use crate::readset::{FactView, ReadSet, READSET_VERSION};
 use crate::rename::freshen_body;
 use bigfoot_bfj::{AccessKind, Block, CheckPath, Program, Stmt, StmtKind, Sym};
 use bigfoot_detectors::ProxyTable;
+use bigfoot_entail::Verdicts;
 use bigfoot_obs::stable::{StableHasher, STABLE_HASH_VERSION};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -120,20 +121,23 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
         coalescing: options.coalescing,
         loop_invariants: options.loop_invariants,
     };
+    // One verdict cache for the whole run, dropped when it returns.
+    let verdicts = Verdicts::new();
     // Per-method: record → anticipate → place.
     let analyze = |body: &Block, kills: &KillSets| -> (Block, Duration) {
         let _span = bigfoot_obs::span!("static.method");
         let t0 = Instant::now();
+        let view = FactView::new(kills, &volatiles);
         let at = if options.anticipation {
             let _span = bigfoot_obs::span!("static.backward");
-            let (_, tables) = forward_pass_opts(body, kills, &volatiles, None, popts);
-            Some(anticipate_body(body, kills, &volatiles, &tables.h_pre))
+            let (_, tables) = forward_pass_view(body, view, None, popts, &verdicts);
+            Some(anticipate_body_view(body, view, &tables.h_pre, &verdicts))
         } else {
             None
         };
         let placed = {
             let _span = bigfoot_obs::span!("static.forward");
-            let (placed, _) = forward_pass_opts(body, kills, &volatiles, at.as_ref(), popts);
+            let (placed, _) = forward_pass_view(body, view, at.as_ref(), popts, &verdicts);
             placed
         };
         (placed, t0.elapsed())
@@ -379,6 +383,8 @@ pub fn instrument_incremental(
     };
     let mut stats = AnalysisStats::default();
     let mut new_entries = std::collections::BTreeMap::new();
+    // One verdict cache for the whole run, dropped when it returns.
+    let verdicts = Verdicts::new();
 
     for site in &sites {
         let body = match site.loc {
@@ -406,14 +412,14 @@ pub fn instrument_incremental(
                 let view = FactView::tracked(&kills, &volatiles, &log);
                 let at = if options.anticipation {
                     let _span = bigfoot_obs::span!("static.backward");
-                    let (_, tables) = forward_pass_view(&body, view, None, popts);
-                    Some(anticipate_body_view(&body, view, &tables.h_pre))
+                    let (_, tables) = forward_pass_view(&body, view, None, popts, &verdicts);
+                    Some(anticipate_body_view(&body, view, &tables.h_pre, &verdicts))
                 } else {
                     None
                 };
                 let placed = {
                     let _span = bigfoot_obs::span!("static.forward");
-                    let (placed, _) = forward_pass_view(&body, view, at.as_ref(), popts);
+                    let (placed, _) = forward_pass_view(&body, view, at.as_ref(), popts, &verdicts);
                     placed
                 };
                 let readset = log.into_inner();

@@ -12,7 +12,7 @@ use crate::killset::KillSets;
 use crate::proxy::grouping_from_sets;
 use bigfoot_bfj::{AccessKind, Block, CheckPath, Expr, Program, Stmt, StmtKind, Sym};
 use bigfoot_detectors::ProxyTable;
-use bigfoot_entail::{linearize, AliasRhs, SymRange};
+use bigfoot_entail::{linearize, AliasRhs, SymRange, Verdicts};
 use std::collections::HashSet;
 
 /// Instruments a program in RedCard style; returns the instrumented
@@ -22,6 +22,7 @@ pub fn redcard_instrument(p: &Program) -> (Program, ProxyTable) {
     let volatiles = crate::killset::volatile_fields(p);
     let mut out = p.clone();
     let mut spans: Vec<Vec<Sym>> = Vec::new();
+    let verdicts = Verdicts::new();
     for c in &mut out.classes {
         for m in &mut c.methods {
             let mut rc = RedCard {
@@ -29,6 +30,7 @@ pub fn redcard_instrument(p: &Program) -> (Program, ProxyTable) {
                 volatiles: &volatiles,
                 spans: &mut spans,
                 span_fields: HashSet::new(),
+                verdicts: &verdicts,
             };
             let (stmts, _) = rc.block(&m.body.stmts, History::new());
             rc.end_span();
@@ -40,6 +42,7 @@ pub fn redcard_instrument(p: &Program) -> (Program, ProxyTable) {
         volatiles: &volatiles,
         spans: &mut spans,
         span_fields: HashSet::new(),
+        verdicts: &verdicts,
     };
     let (stmts, _) = rc.block(&out.main.stmts, History::new());
     rc.end_span();
@@ -56,6 +59,8 @@ struct RedCard<'a> {
     spans: &'a mut Vec<Vec<Sym>>,
     /// Fields accessed in the current span.
     span_fields: HashSet<Sym>,
+    /// Entailment verdicts shared across the whole program.
+    verdicts: &'a Verdicts,
 }
 
 impl RedCard<'_> {
@@ -78,7 +83,7 @@ impl RedCard<'_> {
     /// Emits a check for `fact` unless a covering check exists in the
     /// current span.
     fn check_access(&mut self, h: &mut History, fact: PathFact, out: &mut Vec<Stmt>) {
-        let mut kb = h.kb();
+        let mut kb = h.kb(self.verdicts);
         if !h.covered_by_check(&mut kb, &fact) {
             out.push(Stmt::new(StmtKind::Check {
                 paths: vec![CheckPath {
@@ -252,8 +257,8 @@ impl RedCard<'_> {
                 let (rb1, h1p) = self.block(&then_b.stmts, h1);
                 let (rb2, h2p) = self.block(&else_b.stmts, h2);
                 // Keep checks present on both sides.
-                let mut kb1 = h1p.kb();
-                let mut kb2 = h2p.kb();
+                let mut kb1 = h1p.kb(self.verdicts);
+                let mut kb2 = h2p.kb(self.verdicts);
                 let mut merged = History::new();
                 for b in h1p.bools.iter().chain(h2p.bools.iter()) {
                     if kb1.entails(b) && kb2.entails(b) {

@@ -16,17 +16,16 @@
 //! All answers are conservative: "don't know" means *not entailed*, which
 //! at worst places a redundant check (never an unsound one).
 
+use crate::fm::Fm;
 use crate::lin::{linearize, Atom, Lin};
 use bigfoot_bfj::{Binop, Expr, Sym, Unop};
+use bigfoot_obs::fx::FxHashMap;
+use std::cell::RefCell;
 use std::collections::HashMap;
-
-/// Caps for the Fourier–Motzkin elimination, beyond which the engine gives
-/// up (conservatively answering "not entailed").
-const FM_MAX_ROWS: usize = 600;
-const FM_MAX_ATOMS: usize = 24;
+use std::rc::Rc;
 
 /// A heap-alias right-hand side: what a variable was loaded from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AliasRhs {
     /// `x = base.field`
     Field {
@@ -42,6 +41,100 @@ pub enum AliasRhs {
         /// The normalized index.
         index: Lin,
     },
+}
+
+/// Entailment verdicts shared by every [`Kb`] built for one analysis run.
+///
+/// The placement analysis builds a fresh [`Kb`] for every history it
+/// consults, and the placement pass re-asks most of the questions the
+/// recording pre-pass already answered on the same histories. A cache
+/// keyed by the exact question answers those repeats across `Kb`s:
+///
+/// * each fact list a [`Kb`] is built from ([`Kb::from_facts`]) is
+///   interned to a fact-list id; equal fact lists build equal `Kb`s, so
+///   [`Kb::entails`] verdicts are keyed by (fact-list id, query) and
+///   [`Kb::is_inconsistent`] verdicts by fact-list id, and a `Kb` whose
+///   questions are all answered that way never assumes its facts;
+/// * each distinct set of canonical inequality rows (sorted, since row
+///   order cannot change a Fourier–Motzkin verdict) is interned to a
+///   fact-set id; [`Kb::proves_nonneg`] verdicts are keyed by (fact-set
+///   id, canonical query), [`Kb::is_inconsistent`] verdicts by fact-set
+///   id.
+///
+/// Cloning shares the cache. Create one per analysis run and drop it at
+/// the end of the run; [`Kb::new`] gives a `Kb` a private one.
+#[derive(Debug, Clone, Default)]
+pub struct Verdicts(Rc<RefCell<VerdictCache>>);
+
+#[derive(Debug, Default)]
+struct VerdictCache {
+    /// Boolean facts, then alias facts → fact-list id.
+    list_ids: FxHashMap<Rc<[Expr]>, FxHashMap<Rc<AliasFacts>, u32>>,
+    /// Fact lists by id.
+    lists: Vec<FactList>,
+    /// Sorted canonical inequality rows → fact-set id.
+    fact_sets: FxHashMap<Vec<Lin>, u32>,
+    /// [`Kb::is_inconsistent`] verdicts, indexed by fact-set id.
+    inconsistent: Vec<Option<bool>>,
+    /// [`Kb::proves_nonneg`] verdicts by (fact-set id, canonical query).
+    nonneg: FxHashMap<(u32, Lin), bool>,
+    /// Fourier–Motzkin buffers reused across queries.
+    fm: Fm,
+}
+
+/// Alias facts `x = rhs`, in assumption order.
+type AliasFacts = [(Sym, AliasRhs)];
+
+/// An interned fact list and the verdicts known for it.
+#[derive(Debug)]
+struct FactList {
+    bools: Rc<[Expr]>,
+    aliases: Rc<AliasFacts>,
+    /// [`Kb::entails`] verdicts by query.
+    entails: FxHashMap<Expr, bool>,
+    /// The [`Kb::is_inconsistent`] verdict.
+    inconsistent: Option<bool>,
+}
+
+impl Verdicts {
+    /// An empty cache.
+    pub fn new() -> Verdicts {
+        Verdicts::default()
+    }
+
+    /// The id of a fact list.
+    fn intern_facts(&self, bools: &[Expr], aliases: &AliasFacts) -> u32 {
+        let mut c = self.0.borrow_mut();
+        if let Some(&id) = c.list_ids.get(bools).and_then(|m| m.get(aliases)) {
+            return id;
+        }
+        let id = u32::try_from(c.lists.len()).expect("fact-list ids fit in u32");
+        let list = FactList {
+            bools: bools.into(),
+            aliases: aliases.into(),
+            entails: FxHashMap::default(),
+            inconsistent: None,
+        };
+        let by_aliases = match c.list_ids.get_mut(bools) {
+            Some(m) => m,
+            None => c.list_ids.entry(list.bools.clone()).or_default(),
+        };
+        by_aliases.insert(list.aliases.clone(), id);
+        c.lists.push(list);
+        id
+    }
+
+    /// The id of a sorted set of canonical inequality rows.
+    fn intern_rows(&self, rows: &[Lin]) -> u32 {
+        let mut c = self.0.borrow_mut();
+        if let Some(&id) = c.fact_sets.get(rows) {
+            return id;
+        }
+        let id = u32::try_from(c.inconsistent.len()).expect("fact-set ids fit in u32");
+        c.inconsistent.push(None);
+        c.fact_sets.insert(rows.to_vec(), id);
+        id
+    }
 }
 
 /// A set of assumed facts with entailment queries.
@@ -79,44 +172,81 @@ pub struct Kb {
     aliases: Vec<(Sym, AliasRhs)>,
     /// Whether the congruence closure is up to date.
     closed: bool,
-    /// Cached result of the inconsistency check.
-    inconsistent: Option<bool>,
-    /// Fact-set fingerprint: bumped by every public assumption, so caches
-    /// below can tell whether the knowledge base has changed since they
-    /// were filled. Canonicalization is stable within one generation (the
-    /// congruence closure is idempotent between assumptions).
+    /// Bumped by every public assumption, so the fact-set id below can
+    /// tell whether the knowledge base has changed since it was computed.
+    /// Canonicalization is stable within one generation (the congruence
+    /// closure is idempotent between assumptions).
     generation: u64,
-    /// Memoized [`Kb::proves_nonneg`] verdicts for the current generation,
-    /// keyed by the canonicalized query.
-    memo: HashMap<Lin, bool>,
-    memo_gen: u64,
-    /// Canonicalized inequality rows, rebuilt once per generation instead
-    /// of on every query.
+    /// Canonicalized inequality rows, sorted, and their fact-set id in
+    /// `verdicts`, valid for the recorded generation.
     canon_rows: Vec<Lin>,
-    canon_gen: Option<u64>,
-    /// Scratch row storage reused across Fourier–Motzkin queries.
-    fm_scratch: Vec<Lin>,
+    fact_set: Option<(u64, u32)>,
+    /// The fact-list id of a `Kb` built by [`Kb::from_facts`], until the
+    /// next public assumption.
+    fact_list: Option<u32>,
+    /// True while the facts of `fact_list` are not yet assumed: they are
+    /// loaded on the first question the shared verdicts cannot answer.
+    unloaded: bool,
+    /// The verdict cache this knowledge base reads and fills.
+    verdicts: Verdicts,
 }
 
 impl Kb {
-    /// An empty knowledge base (entails only tautologies).
+    /// An empty knowledge base (entails only tautologies) with a private
+    /// verdict cache.
     pub fn new() -> Kb {
         Kb::default()
+    }
+
+    /// A knowledge base assuming `bools` and then `aliases`, sharing
+    /// `verdicts` with every other `Kb` built from it.
+    pub fn from_facts(verdicts: &Verdicts, bools: &[Expr], aliases: &[(Sym, AliasRhs)]) -> Kb {
+        Kb {
+            fact_list: Some(verdicts.intern_facts(bools, aliases)),
+            unloaded: true,
+            verdicts: verdicts.clone(),
+            ..Kb::default()
+        }
+    }
+
+    /// Assumes the facts of `fact_list` if they are not assumed yet.
+    fn load(&mut self) {
+        if !std::mem::take(&mut self.unloaded) {
+            return;
+        }
+        let Some(id) = self.fact_list else { return };
+        let (bools, aliases) = {
+            let c = self.verdicts.0.borrow();
+            let list = &c.lists[id as usize];
+            (list.bools.clone(), list.aliases.clone())
+        };
+        for b in bools.iter() {
+            self.assume_expr(b);
+        }
+        for (x, rhs) in aliases.iter() {
+            self.push_alias(*x, rhs.clone());
+        }
     }
 
     /// Assumes a boolean expression. Conjunctions are split; comparisons
     /// become linear facts; `e % m == 0` becomes a congruence fact;
     /// disjunctions and other unhandled forms are soundly ignored.
     pub fn assume(&mut self, e: &Expr) {
+        self.load();
+        self.fact_list = None;
+        self.assume_expr(e);
+    }
+
+    fn assume_expr(&mut self, e: &Expr) {
         self.generation = self.generation.wrapping_add(1);
         match e {
             Expr::Binop(Binop::And, a, b) => {
-                self.assume(a);
-                self.assume(b);
+                self.assume_expr(a);
+                self.assume_expr(b);
             }
             Expr::Unop(Unop::Not, inner) => {
                 if let Some(neg) = negate_cmp(inner) {
-                    self.assume(&neg);
+                    self.assume_expr(&neg);
                 }
             }
             Expr::Binop(op, a, b) if op.is_comparison() => {
@@ -153,7 +283,6 @@ impl Kb {
         let (Some(la), Some(lb)) = (linearize(a), linearize(b)) else {
             return;
         };
-        self.inconsistent = None;
         match op {
             // a == b  →  a-b >= 0 ∧ b-a >= 0
             Binop::Eq => {
@@ -171,6 +300,12 @@ impl Kb {
 
     /// Assumes a heap-alias fact `x = rhs` (recorded on field/array reads).
     pub fn assume_alias(&mut self, x: Sym, rhs: AliasRhs) {
+        self.load();
+        self.fact_list = None;
+        self.push_alias(x, rhs);
+    }
+
+    fn push_alias(&mut self, x: Sym, rhs: AliasRhs) {
         self.generation = self.generation.wrapping_add(1);
         self.aliases.push((x, rhs));
         self.closed = false;
@@ -179,6 +314,8 @@ impl Kb {
     /// Assumes `x` and `y` hold the same value (copy or rename). Records
     /// both the numeric equality and the reference equality.
     pub fn assume_var_eq(&mut self, x: Sym, y: Sym) {
+        self.load();
+        self.fact_list = None;
         self.generation = self.generation.wrapping_add(1);
         let lx = Lin::var(x);
         let ly = Lin::var(y);
@@ -211,8 +348,10 @@ impl Kb {
 
     /// Runs congruence closure over the alias facts: two variables loaded
     /// from the same field of equal objects (or the same index of equal
-    /// arrays) are themselves equal references.
+    /// arrays) are themselves equal references. Loads pending facts first,
+    /// so every question that reads the facts passes through here.
     fn close(&mut self) {
+        self.load();
         if self.closed {
             return;
         }
@@ -255,9 +394,11 @@ impl Kb {
                 Atom::Len(x) => Atom::Len(self.find(*x)),
                 Atom::Opaque(s) => Atom::Opaque(*s),
             };
-            let mut t = Lin::atom(a).scale(c);
-            t.konst = 0;
-            out = out.add(&t);
+            let e = out.terms.entry(a).or_insert(0);
+            *e = e.wrapping_add(c);
+            if *e == 0 {
+                out.terms.remove(&a);
+            }
         }
         out
     }
@@ -281,25 +422,31 @@ impl Kb {
         linearize(e).map(|l| self.canon_lin(&l))
     }
 
-    /// Rebuilds the canonicalized inequality rows if any assumption landed
-    /// since they were last built. Requires the closure to be up to date.
-    fn refresh_canon_rows(&mut self) {
-        if self.canon_gen == Some(self.generation) {
-            return;
+    /// The id of the current canonical inequality rows, rebuilding and
+    /// interning them if any assumption landed since they were last built.
+    /// Requires the closure to be up to date.
+    fn fact_set(&mut self) -> u32 {
+        if let Some((generation, id)) = self.fact_set {
+            if generation == self.generation {
+                return id;
+            }
         }
         let mut rows = std::mem::take(&mut self.canon_rows);
         rows.clear();
         rows.extend(self.ineqs.iter().map(|f| self.canon_lin(f)));
+        rows.sort_unstable();
+        let id = self.verdicts.intern_rows(&rows);
         self.canon_rows = rows;
-        self.canon_gen = Some(self.generation);
+        self.fact_set = Some((self.generation, id));
+        id
     }
 
     /// Proves `l >= 0` from the assumed facts.
     ///
-    /// Verdicts are memoized per canonicalized query until the next
-    /// assumption: the placement analysis re-asks the same bounds queries
-    /// for every path flowing through a block, and the fact set only
-    /// changes at assumption points.
+    /// Verdicts are memoized in the shared [`Verdicts`] per fact set and
+    /// canonicalized query: the placement analysis re-asks the same bounds
+    /// queries for every path flowing through a block, and of every
+    /// history it revisits.
     pub fn proves_nonneg(&mut self, l: &Lin) -> bool {
         let _q = crate::obs::QueryGuard::enter();
         self.close();
@@ -310,24 +457,18 @@ impl Kb {
             }
             // Fall through: inconsistent facts entail everything.
         }
-        if self.memo_gen != self.generation {
-            self.memo.clear();
-            self.memo_gen = self.generation;
-        }
-        if let Some(&v) = self.memo.get(&q) {
+        let key = (self.fact_set(), q);
+        let mut cache = self.verdicts.0.borrow_mut();
+        let cache = &mut *cache;
+        if let Some(&v) = cache.nonneg.get(&key) {
             bigfoot_obs::count!("entail.cache.hit");
             return v;
         }
         bigfoot_obs::count!("entail.cache.miss");
-        self.refresh_canon_rows();
         // Refute facts ∧ (q <= -1), i.e. facts ∧ (-q - 1 >= 0).
-        let mut rows = std::mem::take(&mut self.fm_scratch);
-        rows.clear();
-        rows.extend_from_slice(&self.canon_rows);
-        rows.push(q.scale(-1).offset(-1));
-        let v = fm_infeasible(&mut rows);
-        self.fm_scratch = rows;
-        self.memo.insert(q, v);
+        let refute = key.1.scale(-1).offset(-1);
+        let v = cache.fm.infeasible(&self.canon_rows, Some(&refute));
+        cache.nonneg.insert(key, v);
         v
     }
 
@@ -339,17 +480,26 @@ impl Kb {
     /// True if the assumed facts are contradictory (a statically dead
     /// context, which entails everything).
     pub fn is_inconsistent(&mut self) -> bool {
-        if let Some(v) = self.inconsistent {
-            return v;
+        if let Some(list) = self.fact_list {
+            if let Some(v) = self.verdicts.0.borrow().lists[list as usize].inconsistent {
+                return v;
+            }
         }
         self.close();
-        self.refresh_canon_rows();
-        let mut rows = std::mem::take(&mut self.fm_scratch);
-        rows.clear();
-        rows.extend_from_slice(&self.canon_rows);
-        let v = fm_infeasible(&mut rows);
-        self.fm_scratch = rows;
-        self.inconsistent = Some(v);
+        let id = self.fact_set() as usize;
+        let mut cache = self.verdicts.0.borrow_mut();
+        let cache = &mut *cache;
+        let v = match cache.inconsistent[id] {
+            Some(v) => v,
+            None => {
+                let v = cache.fm.infeasible(&self.canon_rows, None);
+                cache.inconsistent[id] = Some(v);
+                v
+            }
+        };
+        if let Some(list) = self.fact_list {
+            cache.lists[list as usize].inconsistent = Some(v);
+        }
         v
     }
 
@@ -422,8 +572,26 @@ impl Kb {
     /// Decides a boolean query expression from the assumed facts.
     ///
     /// Handles conjunction, comparison, and negated comparison queries;
-    /// anything else is conservatively *not* entailed.
+    /// anything else is conservatively *not* entailed. On a `Kb` built by
+    /// [`Kb::from_facts`], verdicts are shared with every `Kb` built from
+    /// the same fact list.
     pub fn entails(&mut self, e: &Expr) -> bool {
+        let Some(list) = self.fact_list.map(|id| id as usize) else {
+            return self.decide(e);
+        };
+        if let Some(&v) = self.verdicts.0.borrow().lists[list].entails.get(e) {
+            bigfoot_obs::count!("entail.cache.hit");
+            return v;
+        }
+        let v = self.decide(e);
+        self.verdicts.0.borrow_mut().lists[list]
+            .entails
+            .insert(e.clone(), v);
+        v
+    }
+
+    /// [`Kb::entails`] without the fact-list cache.
+    fn decide(&mut self, e: &Expr) -> bool {
         bigfoot_obs::count!("entail.query.entails");
         let _q = crate::obs::QueryGuard::enter();
         match e {
@@ -489,69 +657,6 @@ fn negate_cmp(e: &Expr) -> Option<Expr> {
         Expr::Bool(b) => Some(Expr::Bool(!b)),
         _ => None,
     }
-}
-
-/// Fourier–Motzkin: returns true if the conjunction of `rows` (each
-/// `lin >= 0`) is infeasible over the rationals.
-///
-/// Rational infeasibility implies integer infeasibility, so `true` is
-/// always a sound "contradiction" answer. Exceeding the row/atom caps
-/// returns `false` (feasible / unknown).
-///
-/// `rows` is left in an unspecified state; the caller keeps the buffer so
-/// its capacity is reused across queries.
-fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
-    // Quick constant check.
-    if rows.iter().any(|r| r.is_const() && r.konst < 0) {
-        return true;
-    }
-    let mut atoms: Vec<Atom> = {
-        let mut s: Vec<Atom> = rows.iter().flat_map(|r| r.atoms()).collect();
-        s.sort();
-        s.dedup();
-        s
-    };
-    if atoms.len() > FM_MAX_ATOMS {
-        return false;
-    }
-    // Partition buffers reused across elimination rounds.
-    let mut pos: Vec<(i64, Lin)> = Vec::new(); // c > 0:  c·x + r >= 0  →  x >= -r/c
-    let mut neg: Vec<(i64, Lin)> = Vec::new(); // c < 0 rows
-    let mut rest: Vec<Lin> = Vec::new();
-    while let Some(atom) = atoms.pop() {
-        pos.clear();
-        neg.clear();
-        rest.clear();
-        for r in rows.drain(..) {
-            match r.terms.get(&atom).copied().unwrap_or(0) {
-                0 => rest.push(r),
-                c if c > 0 => pos.push((c, r)),
-                c => neg.push((-c, r)),
-            }
-        }
-        // Combine each (pos, neg) pair, eliminating `atom`.
-        for (cp, rp) in &pos {
-            for (cn, rn) in &neg {
-                // cp·x + rp' >= 0 and -cn·x + rn' >= 0
-                // → cn·rp + cp·rn >= 0 (x eliminated)
-                let combined = rp.scale(*cn).add(&rn.scale(*cp));
-                debug_assert!(combined.terms.get(&atom).copied().unwrap_or(0) == 0);
-                if combined.is_const() && combined.konst < 0 {
-                    return true;
-                }
-                if !combined.is_const() {
-                    rest.push(combined);
-                }
-            }
-        }
-        if rest.len() > FM_MAX_ROWS {
-            return false;
-        }
-        std::mem::swap(rows, &mut rest);
-        // Drop rows mentioning already-eliminated atoms? None remain by
-        // construction: we eliminate from the full current set each round.
-    }
-    false
 }
 
 #[cfg(test)]
@@ -689,6 +794,58 @@ mod tests {
         let mut kb = kb_with(&["x >= 5", "x <= 3"]);
         // From contradictory facts everything follows.
         assert!(kb.entails(&expr("0 == 1")));
+    }
+
+    #[test]
+    fn overflowing_elimination_is_not_a_contradiction() {
+        // x = 0 satisfies both facts. Eliminating x multiplies the bound
+        // by 3, which overflows i64; wrapping arithmetic turned the sum
+        // negative and reported a contradiction, which entails anything.
+        let mut kb = kb_with(&["3 * x >= 0", "3 * x <= 4611686018427387904"]);
+        assert!(!kb.is_inconsistent());
+        assert!(!kb.entails(&expr("0 == 1")));
+        assert!(!kb.entails(&expr("x >= 5")));
+    }
+
+    #[test]
+    fn shared_verdicts_match_private_ones() {
+        let lists = [
+            vec![expr("i < n"), expr("n <= a.length"), expr("i >= 0")],
+            vec![expr("i >= n"), expr("n > 0")],
+            vec![expr("i < n"), expr("i >= n")],
+            vec![expr("i % 2 == 0"), expr("n <= a.length"), expr("i >= 0")],
+        ];
+        let queries = [
+            "i + 1 <= a.length",
+            "i >= 1",
+            "n > 0",
+            "0 == 1",
+            "i % 2 == 0",
+        ];
+        let verdicts = Verdicts::new();
+        for facts in lists.iter().chain(&lists) {
+            let mut shared = Kb::from_facts(&verdicts, facts, &[]);
+            let mut private = Kb::new();
+            for f in facts {
+                private.assume(f);
+            }
+            for q in queries {
+                assert_eq!(shared.entails(&expr(q)), private.entails(&expr(q)), "{q}");
+            }
+            assert_eq!(shared.is_inconsistent(), private.is_inconsistent());
+        }
+    }
+
+    #[test]
+    fn assuming_on_a_shared_kb_leaves_the_fact_list_verdicts_alone() {
+        let facts = [expr("i < n")];
+        let verdicts = Verdicts::new();
+        let mut kb = Kb::from_facts(&verdicts, &facts, &[]);
+        assert!(!kb.entails(&expr("i < 5")));
+        kb.assume(&expr("n <= 5"));
+        assert!(kb.entails(&expr("i < 5")));
+        let mut fresh = Kb::from_facts(&verdicts, &facts, &[]);
+        assert!(!fresh.entails(&expr("i < 5")));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   syntactically);
 //! * [`Kb`]: a fact base answering boolean entailment via
 //!   Fourier–Motzkin refutation, reference equality via congruence
-//!   closure, and `≡ (mod m)` queries;
+//!   closure, and `≡ (mod m)` queries; the [`Kb`]s of one analysis run
+//!   share their verdicts through one [`Verdicts`] cache;
 //! * [`SymRange`] with [`subsumes`], [`covered_by_union`], and
 //!   [`coalesce`]: the strided-range algebra used for array-check motion
 //!   and the §4 coalescing step.
@@ -44,12 +45,13 @@
 //! assert_eq!(merged.to_ast().step, 1);
 //! ```
 
+mod fm;
 mod kb;
 mod lin;
 mod obs;
 mod range;
 
-pub use kb::{AliasRhs, Kb};
+pub use kb::{AliasRhs, Kb, Verdicts};
 pub use lin::{linearize, Atom, Lin};
 pub use range::{coalesce, covered_by_union, subsumes, SymRange};
 
@@ -60,4 +62,4 @@ pub use range::{coalesce, covered_by_union, subsumes, SymRange};
 /// replayed: every KB/alias fact a placement depends on is derived
 /// per-method through this engine, so a behavior change here is a fact
 /// change everywhere. Bump on any change to query results.
-pub const ENTAIL_VERSION: u32 = 1;
+pub const ENTAIL_VERSION: u32 = 2;

@@ -100,6 +100,7 @@ impl Lin {
                 .terms
                 .iter()
                 .map(|(a, k)| (*a, k.wrapping_mul(c)))
+                .filter(|&(_, k)| k != 0)
                 .collect(),
             konst: self.konst.wrapping_mul(c),
         }
@@ -238,6 +239,13 @@ mod tests {
             let back = linearize(&l.to_expr()).unwrap();
             assert_eq!(l, back, "roundtrip of {src}");
         }
+    }
+
+    #[test]
+    fn scaling_to_zero_drops_the_term() {
+        // 2^62 · 4 wraps to 0: the term goes, so equal values compare equal.
+        let l = Lin::var(Sym::intern("x")).scale(1 << 62);
+        assert_eq!(l.scale(4), Lin::constant(0));
     }
 
     #[test]
