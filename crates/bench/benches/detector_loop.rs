@@ -6,7 +6,7 @@
 
 use bigfoot::{instrument, naive_instrument};
 use bigfoot_bfj::{trace::TraceWriter, Event, EventSink, Interp, Program, SchedPolicy};
-use bigfoot_detectors::{ArrayEngine, CheckSource, Detector, ProxyTable, TraceReader};
+use bigfoot_detectors::{CheckSource, Config, Detector, TraceReader};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -44,12 +44,10 @@ fn bench_detector_loop(c: &mut Criterion) {
             bench.iter(|| {
                 drive(
                     t,
-                    Detector::new(
-                        "FT",
-                        CheckSource::CheckEvents,
-                        ArrayEngine::Fine,
-                        ProxyTable::identity(),
-                    ),
+                    Detector::new(Config {
+                        source: CheckSource::CheckEvents,
+                        ..Config::fasttrack()
+                    }),
                 )
             })
         });
@@ -57,12 +55,10 @@ fn bench_detector_loop(c: &mut Criterion) {
             bench.iter(|| {
                 drive(
                     t,
-                    Detector::new(
-                        "SS",
-                        CheckSource::CheckEvents,
-                        ArrayEngine::Footprint,
-                        ProxyTable::identity(),
-                    ),
+                    Detector::new(Config {
+                        source: CheckSource::CheckEvents,
+                        ..Config::slimstate()
+                    }),
                 )
             })
         });

@@ -3,7 +3,7 @@
 
 use bigfoot::{instrument, naive_instrument, redcard_instrument};
 use bigfoot_bfj::{Interp, NullSink, SchedPolicy};
-use bigfoot_detectors::{ArrayEngine, CheckSource, Detector, ProxyTable};
+use bigfoot_detectors::{CheckSource, Config, Detector};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -27,12 +27,10 @@ fn bench_detectors(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("FT", name), &naive, |bench, p| {
             bench.iter(|| {
-                let mut det = Detector::new(
-                    "FT",
-                    CheckSource::CheckEvents,
-                    ArrayEngine::Fine,
-                    ProxyTable::identity(),
-                );
+                let mut det = Detector::new(Config {
+                    source: CheckSource::CheckEvents,
+                    ..Config::fasttrack()
+                });
                 Interp::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
@@ -50,12 +48,10 @@ fn bench_detectors(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("SS", name), &naive, |bench, p| {
             bench.iter(|| {
-                let mut det = Detector::new(
-                    "SS",
-                    CheckSource::CheckEvents,
-                    ArrayEngine::Footprint,
-                    ProxyTable::identity(),
-                );
+                let mut det = Detector::new(Config {
+                    source: CheckSource::CheckEvents,
+                    ..Config::slimstate()
+                });
                 Interp::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();

@@ -7,7 +7,7 @@
 
 use bigfoot::instrument;
 use bigfoot_bfj::{trace::TraceWriter, EventSink, Interp, SchedPolicy};
-use bigfoot_detectors::{replay_trace, Detector, ReplayConfig, TraceReader};
+use bigfoot_detectors::{replay_trace, Config, Detector, TraceReader};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -35,12 +35,16 @@ fn bench_replay(c: &mut Criterion) {
             })
         });
         for workers in [2usize, 4, 8] {
-            let config = ReplayConfig::bigfoot(inst.proxies.clone(), workers);
+            let config = Config::bigfoot(inst.proxies.clone());
             group.bench_with_input(
                 BenchmarkId::new(&format!("replay-{workers}w"), name),
                 &bytes,
                 |bench, bytes| {
-                    bench.iter(|| replay_trace(bytes, &config).expect("replay").shadow_ops)
+                    bench.iter(|| {
+                        replay_trace(bytes, &config, workers)
+                            .expect("replay")
+                            .shadow_ops
+                    })
                 },
             );
         }

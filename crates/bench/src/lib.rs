@@ -7,9 +7,7 @@ use bigfoot::{
     Instrumented,
 };
 use bigfoot_bfj::{trace::TraceWriter, EventSink, Interp, NullSink, Program, SchedPolicy};
-use bigfoot_detectors::{
-    replay_trace, ArrayEngine, CheckSource, Detector, ProxyTable, ReplayConfig, Stats, TraceReader,
-};
+use bigfoot_detectors::{replay_trace, CheckSource, Config, Detector, Stats, TraceReader};
 use std::time::{Duration, Instant};
 
 pub mod perf;
@@ -158,12 +156,10 @@ pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResul
 
     let mut runs = Vec::new();
     let (t, s) = timed(&naive, reps, || {
-        Some(Detector::new(
-            "FastTrack",
-            CheckSource::CheckEvents,
-            ArrayEngine::Fine,
-            ProxyTable::identity(),
-        ))
+        Some(Detector::new(Config {
+            source: CheckSource::CheckEvents,
+            ..Config::fasttrack()
+        }))
     });
     runs.push(DetectorRun {
         name: "FT",
@@ -179,12 +175,10 @@ pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResul
         stats: s.unwrap(),
     });
     let (t, s) = timed(&naive, reps, || {
-        Some(Detector::new(
-            "SlimState",
-            CheckSource::CheckEvents,
-            ArrayEngine::Footprint,
-            ProxyTable::identity(),
-        ))
+        Some(Detector::new(Config {
+            source: CheckSource::CheckEvents,
+            ..Config::slimstate()
+        }))
     });
     runs.push(DetectorRun {
         name: "SS",
@@ -405,12 +399,12 @@ pub fn measure_replay(
     let replays = workers
         .iter()
         .map(|&w| {
-            let config = ReplayConfig::bigfoot(inst.proxies.clone(), w);
+            let config = Config::bigfoot(inst.proxies.clone());
             let mut times = Vec::with_capacity(reps);
             let mut matches = true;
             for _ in 0..reps.max(1) {
                 let t0 = Instant::now();
-                let stats = replay_trace(&bytes, &config).expect("replay");
+                let stats = replay_trace(&bytes, &config, w).expect("replay");
                 times.push(t0.elapsed());
                 matches &= stats_identical(&stats, &serial_stats);
             }

@@ -19,8 +19,8 @@ use bigfoot_bfj::{
     MutationKind, NullSink, Program, SchedPolicy,
 };
 use bigfoot_detectors::{
-    replay_compressed_report, replay_trace, ArrayEngine, CheckSource, Detector, ProxyTable,
-    ReplayConfig, Stats, TraceReader,
+    replay_compressed_report, replay_trace, CheckSource, Config, Detector, ProxyTable, Stats,
+    TraceReader,
 };
 use bigfoot_obs::json::Json;
 use std::time::Instant;
@@ -72,19 +72,15 @@ impl PerfBench {
 /// tables from the RedCard and BigFoot instrumentations.
 fn config_detector(d: &str, rc_proxies: &ProxyTable, bf_proxies: &ProxyTable) -> Detector {
     match d {
-        "FT" => Detector::new(
-            "FastTrack",
-            CheckSource::CheckEvents,
-            ArrayEngine::Fine,
-            ProxyTable::identity(),
-        ),
+        "FT" => Detector::new(Config {
+            source: CheckSource::CheckEvents,
+            ..Config::fasttrack()
+        }),
         "RC" => Detector::redcard(rc_proxies.clone()),
-        "SS" => Detector::new(
-            "SlimState",
-            CheckSource::CheckEvents,
-            ArrayEngine::Footprint,
-            ProxyTable::identity(),
-        ),
+        "SS" => Detector::new(Config {
+            source: CheckSource::CheckEvents,
+            ..Config::slimstate()
+        }),
         "SC" => Detector::slimcard(rc_proxies.clone()),
         _ => Detector::bigfoot(bf_proxies.clone()),
     }
@@ -426,25 +422,26 @@ pub fn measure_compressed(name: &'static str, program: &Program, reps: usize) ->
             _ => (bf_events, &bf_trace),
         };
         let config = match d {
-            "FT" => ReplayConfig::fasttrack(1),
-            "SS" => ReplayConfig::slimstate(1),
-            "RC" => ReplayConfig::redcard(rc_proxies.clone(), 1),
-            "SC" => ReplayConfig::slimcard(rc_proxies.clone(), 1),
-            _ => ReplayConfig::bigfoot(inst.proxies.clone(), 1),
+            "FT" => Config::fasttrack(),
+            "SS" => Config::slimstate(),
+            "RC" => Config::redcard(rc_proxies.clone()),
+            "SC" => Config::slimcard(rc_proxies.clone()),
+            _ => Config::bigfoot(inst.proxies.clone()),
         };
         let packed = bigfoot_bfj::compress(trace).expect("compress");
-        let raw_stats = replay_trace(trace, &config).expect("raw replay");
+        let raw_stats = replay_trace(trace, &config, 1).expect("raw replay");
         let (comp_stats, memo) =
-            replay_compressed_report(&packed, &config).expect("compressed replay");
+            replay_compressed_report(&packed, &config, 1).expect("compressed replay");
         let matches = raw_stats.to_json().to_string_compact()
             == comp_stats.to_json().to_string_compact()
             && raw_stats.races == comp_stats.races;
         let raw_rate = end_to_end_rate(events, reps, || {
-            std::hint::black_box(replay_trace(trace, &config).expect("raw replay"));
+            std::hint::black_box(replay_trace(trace, &config, 1).expect("raw replay"));
         });
         let comp_rate = end_to_end_rate(events, reps, || {
             std::hint::black_box(
-                bigfoot_detectors::replay_compressed(&packed, &config).expect("compressed replay"),
+                bigfoot_detectors::replay_compressed(&packed, &config, 1)
+                    .expect("compressed replay"),
             );
         });
         detectors.push(CompressedDetectorPerf {

@@ -12,7 +12,7 @@
 use bigfoot::instrument;
 use bigfoot_bfj::trace::compress::{compress, decompress};
 use bigfoot_bfj::{parse_program, trace::TraceWriter, EventSink, Interp, Program, SchedPolicy};
-use bigfoot_detectors::{replay_compressed, Detector, ReplayConfig, Stats, TraceReader};
+use bigfoot_detectors::{replay_compressed, Config, Detector, Stats, TraceReader};
 use bigfoot_workloads::{benchmarks, random_program, RandomConfig, Scale};
 
 fn record(program: &Program, policy: SchedPolicy) -> Vec<u8> {
@@ -60,28 +60,28 @@ fn suite_benchmarks_detect_identically_on_compressed_traces() {
         let inst = instrument(&b.program);
         let bytes = record(&inst.program, SchedPolicy::default());
         let packed = pack(b.name, &bytes);
-        let configs: Vec<(&str, ReplayConfig, Detector)> = vec![
+        let configs: Vec<(&str, Config, Detector)> = vec![
             (
                 "redcard",
-                ReplayConfig::redcard(inst.proxies.clone(), 1),
+                Config::redcard(inst.proxies.clone()),
                 Detector::redcard(inst.proxies.clone()),
             ),
             (
                 "slimcard",
-                ReplayConfig::slimcard(inst.proxies.clone(), 1),
+                Config::slimcard(inst.proxies.clone()),
                 Detector::slimcard(inst.proxies.clone()),
             ),
             (
                 "bigfoot",
-                ReplayConfig::bigfoot(inst.proxies.clone(), 1),
+                Config::bigfoot(inst.proxies.clone()),
                 Detector::bigfoot(inst.proxies.clone()),
             ),
         ];
-        for (name, mut config, det) in configs {
+        for (name, config, det) in configs {
             let reference = serial(&bytes, det);
             for workers in [1usize, 4] {
-                config.workers = workers;
-                let stats = replay_compressed(&packed, &config).expect("compressed replay");
+                let stats =
+                    replay_compressed(&packed, &config, workers).expect("compressed replay");
                 assert_identical(&format!("{}/{name}", b.name), workers, &stats, &reference);
             }
         }
@@ -89,22 +89,14 @@ fn suite_benchmarks_detect_identically_on_compressed_traces() {
         // Raw trace: the two raw-access configurations.
         let bytes = record(&b.program, SchedPolicy::default());
         let packed = pack(b.name, &bytes);
-        for (name, mut config, det) in [
-            (
-                "fasttrack",
-                ReplayConfig::fasttrack(1),
-                Detector::fasttrack(),
-            ),
-            (
-                "slimstate",
-                ReplayConfig::slimstate(1),
-                Detector::slimstate(),
-            ),
+        for (name, config, det) in [
+            ("fasttrack", Config::fasttrack(), Detector::fasttrack()),
+            ("slimstate", Config::slimstate(), Detector::slimstate()),
         ] {
             let reference = serial(&bytes, det);
             for workers in [1usize, 4] {
-                config.workers = workers;
-                let stats = replay_compressed(&packed, &config).expect("compressed replay");
+                let stats =
+                    replay_compressed(&packed, &config, workers).expect("compressed replay");
                 assert_identical(&format!("{}/{name}", b.name), workers, &stats, &reference);
             }
         }
@@ -136,16 +128,14 @@ fn random_programs_detect_identically_on_compressed_traces() {
             races_seen += 1;
         }
         for workers in [1usize, 2, 4] {
-            let stats =
-                replay_compressed(&packed, &ReplayConfig::fasttrack(workers)).expect("creplay");
+            let stats = replay_compressed(&packed, &Config::fasttrack(), workers).expect("creplay");
             assert_identical(&format!("random seed {seed}"), workers, &stats, &reference);
         }
         // The footprint engine is where memoized extrapolation actually
         // engages; exercise it on the same traces.
         let slim_reference = serial(&bytes, Detector::slimstate());
         for workers in [1usize, 3] {
-            let stats =
-                replay_compressed(&packed, &ReplayConfig::slimstate(workers)).expect("creplay");
+            let stats = replay_compressed(&packed, &Config::slimstate(), workers).expect("creplay");
             assert_identical(
                 &format!("random seed {seed} (slimstate)"),
                 workers,

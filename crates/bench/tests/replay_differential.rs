@@ -10,7 +10,7 @@
 
 use bigfoot::instrument;
 use bigfoot_bfj::{parse_program, trace::TraceWriter, EventSink, Interp, Program, SchedPolicy};
-use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig, Stats, TraceReader};
+use bigfoot_detectors::{replay_trace, Config, Detector, ProxyTable, Stats, TraceReader};
 use bigfoot_workloads::{benchmarks, random_program, RandomConfig, Scale};
 
 fn record(program: &Program, policy: SchedPolicy) -> Vec<u8> {
@@ -46,11 +46,8 @@ fn suite_benchmarks_replay_identically_under_bigfoot() {
         let bytes = record(&inst.program, SchedPolicy::default());
         let reference = serial(&bytes, Detector::bigfoot(inst.proxies.clone()));
         for workers in [1usize, 2, 4] {
-            let stats = replay_trace(
-                &bytes,
-                &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            )
-            .expect("replay");
+            let stats = replay_trace(&bytes, &Config::bigfoot(inst.proxies.clone()), workers)
+                .expect("replay");
             assert_identical(b.name, workers, &stats, &reference);
         }
     }
@@ -63,7 +60,7 @@ fn suite_benchmarks_replay_identically_under_fasttrack() {
         let bytes = record(&b.program, SchedPolicy::default());
         let reference = serial(&bytes, Detector::fasttrack());
         for workers in [1usize, 4] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
+            let stats = replay_trace(&bytes, &Config::fasttrack(), workers).expect("replay");
             assert_identical(b.name, workers, &stats, &reference);
         }
     }
@@ -96,14 +93,14 @@ fn random_programs_replay_identically() {
             races_seen += 1;
         }
         for workers in [1usize, 2, 4] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
+            let stats = replay_trace(&bytes, &Config::fasttrack(), workers).expect("replay");
             assert_identical(&format!("random seed {seed}"), workers, &stats, &reference);
         }
         // The slim (footprint) engine exercises the commit path on the
         // same trace.
         let slim_reference = serial(&bytes, Detector::slimstate());
         for workers in [1usize, 3] {
-            let stats = replay_trace(&bytes, &ReplayConfig::slimstate(workers)).expect("replay");
+            let stats = replay_trace(&bytes, &Config::slimstate(), workers).expect("replay");
             assert_identical(
                 &format!("random seed {seed} (slimstate)"),
                 workers,
@@ -125,8 +122,8 @@ fn replay_default_proxy_table_matches_serial() {
         let inst = instrument(&b.program);
         let bytes = record(&inst.program, SchedPolicy::default());
         let reference = serial(&bytes, Detector::redcard(ProxyTable::identity()));
-        let stats = replay_trace(&bytes, &ReplayConfig::redcard(ProxyTable::identity(), 4))
-            .expect("replay");
+        let stats =
+            replay_trace(&bytes, &Config::redcard(ProxyTable::identity()), 4).expect("replay");
         assert_identical(b.name, 4, &stats, &reference);
     }
 }

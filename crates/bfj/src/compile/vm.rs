@@ -16,7 +16,10 @@ use super::lower::{
 };
 use crate::ast::{Binop, Unop};
 use crate::event::{CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
-use crate::interp::{as_bool, as_int, Env, Heap, RunOutcome, RuntimeError, SchedPolicy, Value};
+use crate::interp::{
+    as_bool, as_int, check_array_len, next_thread, Env, Heap, RunOutcome, RuntimeError,
+    SchedPolicy, Value,
+};
 use crate::sym::Sym;
 use bigfoot_vc::{AccessKind, Tid};
 
@@ -882,7 +885,7 @@ impl<'p> CompiledVm<'p> {
             }
             Instr::Fork { dst, site, next } => {
                 let callee = build_frame(prog, &self.heap, &mut self.pool, frame, *site, None)?;
-                let child = Tid(self.threads.len() as u32);
+                let child = next_thread(self.threads.len())?;
                 self.threads.push(VmThread {
                     frames: vec![callee],
                     status: Status::Runnable,
@@ -1138,9 +1141,7 @@ fn exec_new_array<S: EventSink>(
     next: u32,
 ) -> Result<(), RuntimeError> {
     let n = as_int(eval(prog, heap, frame, regs, len)?)?;
-    if n < 0 {
-        return Err(RuntimeError::NegativeArrayLength(n));
-    }
+    check_array_len(n)?;
     let arr = heap.alloc_array(n as usize);
     frame.set(dst, Value::Arr(arr));
     frame.pc = next;

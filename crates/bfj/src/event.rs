@@ -7,6 +7,22 @@
 
 use bigfoot_vc::{AccessKind, Tid};
 
+/// Most threads one run may create, main included. Threads are numbered
+/// densely in fork order, so every thread id in a trace is below this.
+///
+/// The three limits bound what a single event can make a detector
+/// allocate: one clock per thread id, one shadow location per field, one
+/// per array element. Programs that exceed them fail to parse or stop with
+/// a `RuntimeError`, and the trace decoder rejects events over them, so
+/// every trace the tools record still replays.
+pub const MAX_THREADS: u32 = 1024;
+
+/// Most fields one class may declare.
+pub const MAX_FIELDS: u32 = 1024;
+
+/// Longest array one run may allocate.
+pub const MAX_ARRAY_LEN: u64 = 1 << 22;
+
 /// Identifier of a heap object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjId(pub u32);

@@ -191,6 +191,10 @@ pub enum RuntimeError {
     DivisionByZero,
     /// Negative array length.
     NegativeArrayLength(i64),
+    /// Array length over [`MAX_ARRAY_LEN`].
+    ArrayTooLong(i64),
+    /// A fork past [`MAX_THREADS`] threads.
+    TooManyThreads,
     /// Every live thread is blocked.
     Deadlock,
     /// The step budget was exhausted.
@@ -210,6 +214,12 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::DivisionByZero => write!(f, "division by zero"),
             RuntimeError::NegativeArrayLength(n) => write!(f, "negative array length {n}"),
+            RuntimeError::ArrayTooLong(n) => {
+                write!(f, "array length {n} exceeds the limit of {MAX_ARRAY_LEN}")
+            }
+            RuntimeError::TooManyThreads => {
+                write!(f, "fork exceeds the limit of {MAX_THREADS} threads")
+            }
             RuntimeError::Deadlock => write!(f, "deadlock: all live threads are blocked"),
             RuntimeError::StepLimitExceeded(n) => write!(f, "step limit of {n} exceeded"),
             RuntimeError::IllegalRelease => write!(f, "released a lock that is not held"),
@@ -779,9 +789,7 @@ impl<'p> Interp<'p> {
             StmtKind::NewArray { x, len } => {
                 let env = &self.threads[ti].frames.last().expect("frame").env;
                 let n = as_int(eval(env, &self.heap, len)?)?;
-                if n < 0 {
-                    return Err(RuntimeError::NegativeArrayLength(n));
-                }
+                check_array_len(n)?;
                 let arr = self.heap.alloc_array(n as usize);
                 self.env(t).insert(*x, Value::Arr(arr));
                 sink.event(&Event::AllocArr {
@@ -890,7 +898,7 @@ impl<'p> Interp<'p> {
                 args,
             } => {
                 let frame = self.call_frame(t, *recv, *meth, args, None)?;
-                let child = Tid(self.threads.len() as u32);
+                let child = next_thread(self.threads.len())?;
                 self.threads.push(ThreadState {
                     frames: vec![frame],
                     status: Status::Runnable,
@@ -1060,6 +1068,27 @@ pub(crate) fn as_bool(v: Value) -> Result<bool, RuntimeError> {
         Value::Bool(b) => Ok(b),
         other => Err(bool_type_error(other)),
     }
+}
+
+/// Accepts `n` as the length of a new array: not negative, at most
+/// [`MAX_ARRAY_LEN`].
+pub(crate) fn check_array_len(n: i64) -> Result<(), RuntimeError> {
+    if n < 0 {
+        Err(RuntimeError::NegativeArrayLength(n))
+    } else if n as u64 > MAX_ARRAY_LEN {
+        Err(RuntimeError::ArrayTooLong(n))
+    } else {
+        Ok(())
+    }
+}
+
+/// The id of the thread a fork creates when `threads` exist: ids are
+/// dense in fork order, and at most [`MAX_THREADS`] are handed out.
+pub(crate) fn next_thread(threads: usize) -> Result<Tid, RuntimeError> {
+    if threads >= MAX_THREADS as usize {
+        return Err(RuntimeError::TooManyThreads);
+    }
+    Ok(Tid(threads as u32))
 }
 
 /// Evaluates a pure expression in `env`, resolving `a.length` against

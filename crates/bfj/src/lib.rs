@@ -50,6 +50,7 @@ pub use ast::{
 pub use compile::{compile, CompiledProgram, CompiledVm};
 pub use event::{
     ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, NullSink, ObjId, RecordingSink,
+    MAX_ARRAY_LEN, MAX_FIELDS, MAX_THREADS,
 };
 pub use fingerprint::{
     fingerprint_block, fingerprint_body, fingerprint_method, FINGERPRINT_VERSION,

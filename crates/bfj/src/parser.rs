@@ -7,6 +7,7 @@
 //! is left nested, since analysis paths and conditions may mention it.
 
 use crate::ast::*;
+use crate::event::MAX_FIELDS;
 use crate::lexer::{tokenize, Spanned, Token};
 use crate::Sym;
 use bigfoot_vc::AccessKind;
@@ -254,6 +255,12 @@ impl Parser {
                     )))
                 }
             }
+        }
+        if fields.len() > MAX_FIELDS as usize {
+            return Err(self.err(format!(
+                "class `{name}` declares {} fields; at most {MAX_FIELDS} are allowed",
+                fields.len()
+            )));
         }
         Ok(ClassDef {
             name,

@@ -22,7 +22,10 @@
 //! the replay engine's `TraceReader` in `bigfoot-detectors` wraps them
 //! into an iterator.
 
-use crate::event::{ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
+use crate::event::{
+    ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId, MAX_ARRAY_LEN, MAX_FIELDS,
+    MAX_THREADS,
+};
 use bigfoot_vc::{AccessKind, Tid};
 
 pub mod compress;
@@ -75,6 +78,22 @@ pub enum TraceError {
         offset: usize,
         /// The decoded stride.
         step: i64,
+    },
+    /// An event names a thread id, a field count or an array length over
+    /// the limits the interpreter and the VM enforce ([`MAX_THREADS`],
+    /// [`MAX_FIELDS`], [`MAX_ARRAY_LEN`]). No recorded trace contains one;
+    /// rejecting it keeps a corrupt trace from making a detector allocate
+    /// billions of clocks or shadow locations.
+    OverLimit {
+        /// Byte offset of the event's tag.
+        offset: usize,
+        /// What is over the limit: `"thread id"`, `"field count"` or
+        /// `"array length"`.
+        what: &'static str,
+        /// The decoded value.
+        value: u64,
+        /// The largest value allowed.
+        max: u64,
     },
     /// A compressed-container rule referenced a symbol that does not
     /// exist yet. Rules may only reference dictionary entries and
@@ -141,6 +160,17 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::InvalidStride { offset, step } => {
                 write!(f, "non-positive range stride {step} at byte {offset}")
+            }
+            TraceError::OverLimit {
+                offset,
+                what,
+                value,
+                max,
+            } => {
+                write!(
+                    f,
+                    "{what} {value} at byte {offset} exceeds the limit of {max}"
+                )
             }
             TraceError::BadRuleRef { rule, sym } => {
                 if *rule == u64::MAX {
@@ -503,7 +533,46 @@ pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceE
             })
         }
     };
+    check_limits(&ev, tag_offset)?;
     Ok(Some(ev))
+}
+
+/// Rejects an event over one of the per-run limits.
+fn check_limits(ev: &Event, offset: usize) -> Result<(), TraceError> {
+    let over = |what, value: u64, max: u64| {
+        if value > max {
+            Err(TraceError::OverLimit {
+                offset,
+                what,
+                value,
+                max,
+            })
+        } else {
+            Ok(())
+        }
+    };
+    let tid = |t: Tid| over("thread id", t.0.into(), (MAX_THREADS - 1).into());
+    match ev {
+        Event::AllocObj { t, fields, .. } => {
+            tid(*t)?;
+            over("field count", (*fields).into(), MAX_FIELDS.into())
+        }
+        Event::AllocArr { t, len, .. } => {
+            tid(*t)?;
+            over("array length", *len, MAX_ARRAY_LEN)
+        }
+        Event::Fork { parent, child } | Event::Join { parent, child } => {
+            tid(*parent)?;
+            tid(*child)
+        }
+        Event::Access { t, .. }
+        | Event::Check { t, .. }
+        | Event::VolatileRead { t, .. }
+        | Event::VolatileWrite { t, .. }
+        | Event::Acquire { t, .. }
+        | Event::Release { t, .. }
+        | Event::ThreadExit { t } => tid(*t),
+    }
 }
 
 /// An [`EventSink`] that serializes the stream into a trace buffer.

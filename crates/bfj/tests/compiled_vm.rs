@@ -11,7 +11,7 @@
 
 use bigfoot_bfj::{
     compile, parse_program, CompiledVm, Interp, RecordingSink, RunOutcome, RuntimeError,
-    SchedPolicy, Sym, Tid, TraceWriter, Value,
+    SchedPolicy, Sym, Tid, TraceWriter, Value, MAX_ARRAY_LEN, MAX_THREADS,
 };
 
 const POLICIES: [SchedPolicy; 4] = [
@@ -243,6 +243,27 @@ fn error_paths_are_identical() {
         "main { a = new_array(4); check(r: a[z..4:1]); }",
     ] {
         assert_identical(src);
+    }
+}
+
+#[test]
+fn run_limits_stop_both_tiers_identically() {
+    // A fork past MAX_THREADS and an array over MAX_ARRAY_LEN stop both
+    // tiers with the same error at the same step, so no recorded trace
+    // holds an event the trace decoder rejects.
+    let forks = format!(
+        "class W {{ meth run() {{ return 0; }} }}
+         main {{ w = new W; for (i = 0; i < {MAX_THREADS}; i = i + 1) {{ fork t = w.run(); }} }}"
+    );
+    let arrays = format!(
+        "main {{ ok = new_array({MAX_ARRAY_LEN}); bad = new_array({}); }}",
+        MAX_ARRAY_LEN + 1
+    );
+    let too_long = RuntimeError::ArrayTooLong(MAX_ARRAY_LEN as i64 + 1);
+    for (src, err) in [(forks, RuntimeError::TooManyThreads), (arrays, too_long)] {
+        assert_identical(&src);
+        let (res, _) = run_interp(&src, SchedPolicy::default());
+        assert_eq!(res.unwrap_err(), err, "{src}");
     }
 }
 

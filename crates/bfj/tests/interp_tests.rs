@@ -369,3 +369,25 @@ fn step_limit_guards_against_divergence() {
         .unwrap_err();
     assert_eq!(err, RuntimeError::StepLimitExceeded(10_000));
 }
+
+#[test]
+fn classes_over_the_field_limit_do_not_parse() {
+    let class = |n: u32| {
+        let fields: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
+        format!(
+            "class C {{ field {}; }} main {{ c = new C; }}",
+            fields.join(", ")
+        )
+    };
+    let p = parse_program(&class(MAX_FIELDS)).expect("at the limit");
+    let mut sink = RecordingSink::default();
+    Interp::new(&p, SchedPolicy::default())
+        .run(&mut sink)
+        .expect("run");
+    assert!(sink
+        .events
+        .iter()
+        .any(|e| matches!(e, Event::AllocObj { fields, .. } if *fields == MAX_FIELDS)));
+    let err = parse_program(&class(MAX_FIELDS + 1)).unwrap_err();
+    assert!(err.to_string().contains("at most 1024"), "{err}");
+}

@@ -11,7 +11,10 @@
 //! tags, absurd claimed lengths).
 
 use bigfoot_bfj::trace::{read_event, read_header};
-use bigfoot_bfj::{parse_program, Interp, SchedPolicy, TraceError, TraceWriter, TRACE_MAGIC};
+use bigfoot_bfj::{
+    parse_program, Interp, SchedPolicy, TraceError, TraceWriter, MAX_ARRAY_LEN, MAX_FIELDS,
+    MAX_THREADS, TRACE_MAGIC,
+};
 
 /// Records one run that exercises every event tag in the codec.
 fn recorded_trace() -> Vec<u8> {
@@ -197,6 +200,73 @@ fn absurd_check_path_count_errors_without_matching_allocation() {
         decode_all(&bytes),
         Err(TraceError::Truncated { .. })
     ));
+}
+
+/// A raw trace holding one event, hand-assembled: `tag` then LEB128
+/// varint fields.
+fn one_event(tag: u8, fields: &[u64]) -> Vec<u8> {
+    let mut bytes = TRACE_MAGIC.to_vec();
+    bytes.push(1); // version
+    bytes.push(tag);
+    for &(mut v) in fields {
+        loop {
+            let b = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                bytes.push(b);
+                break;
+            }
+            bytes.push(b | 0x80);
+        }
+    }
+    bytes
+}
+
+#[test]
+fn events_over_the_limits_are_typed_errors() {
+    // Each of these once made a detector try to allocate billions of
+    // clocks or shadow locations and abort the process.
+    let over = |bytes: &[u8], what: &str, value: u64| {
+        assert!(
+            matches!(
+                decode_all(bytes),
+                Err(TraceError::OverLimit { what: w, value: v, .. }) if w == what && v == value
+            ),
+            "{what} {value} must be rejected: {:?}",
+            decode_all(bytes)
+        );
+    };
+    // ThreadExit (tag 10) by thread 0xFFFF_FFF0.
+    let exit = one_event(10, &[0xFFFF_FFF0]);
+    assert_eq!(exit.len(), 11);
+    over(&exit, "thread id", 0xFFFF_FFF0);
+    // AllocObj (tag 0) { t: 0, obj: 0, class: 0, fields: u32::MAX }.
+    let obj = one_event(0, &[0, 0, 0, u32::MAX.into()]);
+    assert_eq!(obj.len(), 14);
+    over(&obj, "field count", u32::MAX.into());
+    // AllocArr (tag 1) { t: 0, arr: 0, len: 2^40 }.
+    let arr = one_event(1, &[0, 0, 1 << 40]);
+    assert_eq!(arr.len(), 14);
+    over(&arr, "array length", 1 << 40);
+    // Every thread id an event carries is checked, the forked child's too.
+    over(
+        &one_event(8, &[0, MAX_THREADS.into()]),
+        "thread id",
+        MAX_THREADS.into(),
+    );
+}
+
+#[test]
+fn events_at_the_limits_decode() {
+    let top = u64::from(MAX_THREADS - 1);
+    assert_eq!(decode_all(&one_event(10, &[top])), Ok(1));
+    assert_eq!(
+        decode_all(&one_event(0, &[top, 0, 0, MAX_FIELDS.into()])),
+        Ok(1)
+    );
+    assert_eq!(decode_all(&one_event(1, &[top, 0, MAX_ARRAY_LEN])), Ok(1));
+    assert!(decode_all(&one_event(0, &[0, 0, 0, u64::from(MAX_FIELDS) + 1])).is_err());
+    assert!(decode_all(&one_event(1, &[0, 0, MAX_ARRAY_LEN + 1])).is_err());
 }
 
 #[test]

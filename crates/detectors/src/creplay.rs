@@ -51,12 +51,12 @@
 //! touched, and each shard scales the bracket's measured cost by the
 //! number of skipped repetitions.
 
-use crate::detector::{ArrayEngine, CheckSource};
-use crate::replay::{detect_and_merge, Annotator, Item, ItemSink, ReplayConfig, ShardQueues};
+use crate::engine::{ArrayEngine, CheckSource, Config};
+use crate::replay::{detect_and_merge, Annotator, Item, ItemSink, ShardQueues, Target};
 use crate::stats::Stats;
 use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
 use bigfoot_bfj::trace::TraceError;
-use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, EventSink, Loc};
+use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, Loc};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_vc::AccessKind;
 use std::sync::Arc;
@@ -118,7 +118,7 @@ fn finish_info(memoable: bool, streams: FxHashMap<(u32, u32), StreamInfo>) -> Sy
 /// Computes purity, net stream deltas, and footprint-touch flags for
 /// every symbol. Rules reference only earlier symbols, so one forward
 /// pass suffices.
-fn analyze(ct: &CompressedTrace, config: &ReplayConfig) -> Vec<SymInfo> {
+fn analyze(ct: &CompressedTrace, config: &Config) -> Vec<SymInfo> {
     // Which event kind actually pushes footprints under this config:
     // raw accesses do iff the source is RawAccesses, check ranges do
     // iff the source is CheckEvents — and either only under the
@@ -218,46 +218,32 @@ impl ItemSink for MemoSink {
 /// Item equality modulo sequence number, with clock snapshots compared
 /// by pointer (clocks are frozen inside a pure run, so the annotator's
 /// snapshot cache hands out the same `Arc`; a differing pointer means a
-/// sync slipped in and memoization must not apply). Any variant other
-/// than the two check kinds is conservatively unequal.
+/// sync slipped in and memoization must not apply). Anything other than
+/// an immediate field or fine-array check is conservatively unequal.
 fn item_equiv(a: &Item, b: &Item) -> bool {
     match (a, b) {
         (
-            Item::FieldCheck {
-                obj: o1,
-                fields: f1,
+            Item::Check {
+                target: x1,
                 kind: k1,
                 t: t1,
                 clock: c1,
                 ..
             },
-            Item::FieldCheck {
-                obj: o2,
-                fields: f2,
+            Item::Check {
+                target: x2,
                 kind: k2,
                 t: t2,
                 clock: c2,
                 ..
             },
-        ) => o1 == o2 && f1 == f2 && k1 == k2 && t1 == t2 && Arc::ptr_eq(c1, c2),
-        (
-            Item::FineRange {
-                arr: a1,
-                range: r1,
-                kind: k1,
-                t: t1,
-                clock: c1,
-                ..
-            },
-            Item::FineRange {
-                arr: a2,
-                range: r2,
-                kind: k2,
-                t: t2,
-                clock: c2,
-                ..
-            },
-        ) => a1 == a2 && r1 == r2 && k1 == k2 && t1 == t2 && Arc::ptr_eq(c1, c2),
+        ) => {
+            !matches!(x1, Target::Commit(..))
+                && x1 == x2
+                && k1 == k2
+                && t1 == t2
+                && Arc::ptr_eq(c1, c2)
+        }
         _ => false,
     }
 }
@@ -335,7 +321,6 @@ struct Walker<'a> {
     /// Per-`(thread, array)` index reconstruction, advanced directly
     /// (wrapping, exactly like per-event decode) over skipped runs.
     delta: DeltaState,
-    source: CheckSource,
     /// Inside a memoization probe: nested memoization is disabled so
     /// the three probe repetitions measure full expansions.
     probing: bool,
@@ -428,11 +413,11 @@ impl Walker<'_> {
         self.emit_once(sym);
 
         // Repetition 2: record emitted items and their shard mask.
-        self.ann.sink.rec = Some(Vec::new());
-        self.ann.sink.mask = 0;
+        self.ann.backend.sink.rec = Some(Vec::new());
+        self.ann.backend.sink.mask = 0;
         self.emit_once(sym);
-        let rec2 = self.ann.sink.rec.take().expect("recording armed");
-        let mask2 = self.ann.sink.mask;
+        let rec2 = self.ann.backend.sink.rec.take().expect("recording armed");
+        let mask2 = self.ann.backend.sink.mask;
         let snap2 = self.snap(&streams);
 
         // Repetition 3: bracket the shards repetition 2 touched, record
@@ -440,16 +425,16 @@ impl Walker<'_> {
         let mut m = mask2;
         while m != 0 {
             let s = m.trailing_zeros() as usize;
-            self.ann.sink.queues.item(s, Item::MemoBegin);
+            self.ann.backend.sink.queues.item(s, Item::MemoBegin);
             m &= m - 1;
         }
-        self.ann.sink.rec = Some(Vec::new());
-        self.ann.sink.mask = 0;
+        self.ann.backend.sink.rec = Some(Vec::new());
+        self.ann.backend.sink.mask = 0;
         let before = self.scalars();
         self.emit_once(sym);
         let after = self.scalars();
-        let rec3 = self.ann.sink.rec.take().expect("recording armed");
-        let mask3 = self.ann.sink.mask;
+        let rec3 = self.ann.backend.sink.rec.take().expect("recording armed");
+        let mask3 = self.ann.backend.sink.mask;
         let snap3 = self.snap(&streams);
         self.probing = false;
 
@@ -485,7 +470,11 @@ impl Walker<'_> {
             let mut m = mask2;
             while m != 0 {
                 let s = m.trailing_zeros() as usize;
-                self.ann.sink.queues.item(s, Item::MemoScale { times });
+                self.ann
+                    .backend
+                    .sink
+                    .queues
+                    .item(s, Item::MemoScale { times });
                 m &= m - 1;
             }
             self.report.memo_runs += 1;
@@ -515,7 +504,7 @@ impl Walker<'_> {
             // stream delta; instrumentation check ranges are absolute,
             // so their pushes repeat exactly and predict zero growth.
             let expect = |touched: bool| {
-                if touched && self.source == CheckSource::RawAccesses {
+                if touched && self.ann.config.source == CheckSource::RawAccesses {
                     si.net
                 } else {
                     0
@@ -539,7 +528,8 @@ impl Walker<'_> {
 /// soundness discussion in the module docs.
 pub fn replay_compressed_report(
     bytes: &[u8],
-    config: &ReplayConfig,
+    config: &Config,
+    workers: usize,
 ) -> Result<(Stats, CompressedReplayReport), TraceError> {
     let ct = read_compressed(bytes)?;
     let info = analyze(&ct, config);
@@ -553,7 +543,6 @@ pub fn replay_compressed_report(
         info,
         ann: Annotator::with_sink(config, sink),
         delta: DeltaState::default(),
-        source: config.source,
         probing: false,
         report: CompressedReplayReport {
             total_events: ct.total_events,
@@ -572,14 +561,14 @@ pub fn replay_compressed_report(
     bigfoot_obs::trace_counter!("replay.memo.skipped_events", report.skipped_events);
     let (engine, sink, probe_fp_space, stats) = walker.ann.into_parts();
     Ok((
-        detect_and_merge(engine, sink.queues.0, probe_fp_space, stats, config.workers),
+        detect_and_merge(engine, sink.queues.0, probe_fp_space, stats, workers),
         report,
     ))
 }
 
 /// Replays a grammar-compressed (`BFTC`) trace and returns [`Stats`]
 /// byte-identical to [`replay_trace`] over the equivalent uncompressed
-/// trace — at any worker count — while annotating repeated loop bodies
+/// trace — at any number of `workers` — while annotating repeated loop bodies
 /// in O(1) per repetition where provably redundant.
 ///
 /// # Errors
@@ -592,7 +581,7 @@ pub fn replay_compressed_report(
 ///
 /// ```
 /// use bigfoot_bfj::{parse_program, trace::compress, trace::TraceWriter, Interp, SchedPolicy};
-/// use bigfoot_detectors::{replay_compressed, replay_trace, ReplayConfig};
+/// use bigfoot_detectors::{replay_compressed, replay_trace, Config};
 ///
 /// let p = parse_program(
 ///     "main {
@@ -605,28 +594,32 @@ pub fn replay_compressed_report(
 /// let raw = w.into_bytes();
 /// let packed = compress::compress(&raw)?;
 ///
-/// let config = ReplayConfig::slimstate(2);
-/// let from_compressed = replay_compressed(&packed, &config)?;
-/// let from_raw = replay_trace(&raw, &config)?;
+/// let config = Config::slimstate();
+/// let from_compressed = replay_compressed(&packed, &config, 2)?;
+/// let from_raw = replay_trace(&raw, &config, 2)?;
 /// assert_eq!(
 ///     from_compressed.to_json().to_string_compact(),
 ///     from_raw.to_json().to_string_compact(),
 /// );
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn replay_compressed(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceError> {
-    replay_compressed_report(bytes, config).map(|(stats, _)| stats)
+pub fn replay_compressed(
+    bytes: &[u8],
+    config: &Config,
+    workers: usize,
+) -> Result<Stats, TraceError> {
+    replay_compressed_report(bytes, config, workers).map(|(stats, _)| stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::ProxyTable;
+    use crate::engine::ProxyTable;
     use crate::replay::replay_trace;
     use crate::Detector;
     use bigfoot_bfj::trace::compress::compress;
     use bigfoot_bfj::trace::TraceWriter;
-    use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+    use bigfoot_bfj::{parse_program, EventSink, Interp, SchedPolicy};
 
     fn record(src: &str) -> Vec<u8> {
         let p = parse_program(src).expect("parse");
@@ -644,31 +637,23 @@ mod tests {
         det.finish()
     }
 
-    fn all_configs(workers: usize) -> Vec<(&'static str, ReplayConfig, Detector)> {
+    fn all_configs() -> Vec<(&'static str, Config, Detector)> {
         vec![
-            (
-                "fasttrack",
-                ReplayConfig::fasttrack(workers),
-                Detector::fasttrack(),
-            ),
+            ("fasttrack", Config::fasttrack(), Detector::fasttrack()),
             (
                 "redcard",
-                ReplayConfig::redcard(ProxyTable::identity(), workers),
+                Config::redcard(ProxyTable::identity()),
                 Detector::redcard(ProxyTable::identity()),
             ),
-            (
-                "slimstate",
-                ReplayConfig::slimstate(workers),
-                Detector::slimstate(),
-            ),
+            ("slimstate", Config::slimstate(), Detector::slimstate()),
             (
                 "slimcard",
-                ReplayConfig::slimcard(ProxyTable::identity(), workers),
+                Config::slimcard(ProxyTable::identity()),
                 Detector::slimcard(ProxyTable::identity()),
             ),
             (
                 "bigfoot",
-                ReplayConfig::bigfoot(ProxyTable::identity(), workers),
+                Config::bigfoot(ProxyTable::identity()),
                 Detector::bigfoot(ProxyTable::identity()),
             ),
         ]
@@ -678,10 +663,10 @@ mod tests {
         let raw = record(src);
         let packed = compress(&raw).expect("compress");
         for workers in [1, 4] {
-            for (name, config, det) in all_configs(workers) {
+            for (name, config, det) in all_configs() {
                 let serial = serial_stats(&raw, det);
-                let from_raw = replay_trace(&raw, &config).expect("replay");
-                let from_packed = replay_compressed(&packed, &config).expect("creplay");
+                let from_raw = replay_trace(&raw, &config, workers).expect("replay");
+                let from_packed = replay_compressed(&packed, &config, workers).expect("creplay");
                 assert_eq!(
                     from_packed.to_json().to_string_compact(),
                     from_raw.to_json().to_string_compact(),
@@ -755,7 +740,7 @@ mod tests {
         );
         let packed = compress(&raw).expect("compress");
         let (stats, report) =
-            replay_compressed_report(&packed, &ReplayConfig::slimstate(1)).expect("creplay");
+            replay_compressed_report(&packed, &Config::slimstate(), 1).expect("creplay");
         assert!(report.memo_runs > 0, "pure loop must memoize: {report:?}");
         assert!(
             report.skipped_events > report.total_events / 2,
@@ -781,7 +766,7 @@ mod tests {
         );
         let packed = compress(&raw).expect("compress");
         let (stats, report) =
-            replay_compressed_report(&packed, &ReplayConfig::fasttrack(1)).expect("creplay");
+            replay_compressed_report(&packed, &Config::fasttrack(), 1).expect("creplay");
         assert_eq!(report.skipped_events, 0, "{report:?}");
         let serial = serial_stats(&raw, Detector::fasttrack());
         assert_eq!(
@@ -793,12 +778,12 @@ mod tests {
     #[test]
     fn malformed_container_is_an_error() {
         assert!(matches!(
-            replay_compressed(b"junk", &ReplayConfig::fasttrack(1)),
+            replay_compressed(b"junk", &Config::fasttrack(), 1),
             Err(TraceError::BadMagic)
         ));
         let packed = compress(&record("main { a = new_array(4); a[0] = 1; }")).expect("compress");
         let mut cut = packed.clone();
         cut.truncate(cut.len() - 1);
-        assert!(replay_compressed(&cut, &ReplayConfig::fasttrack(1)).is_err());
+        assert!(replay_compressed(&cut, &Config::fasttrack(), 1).is_err());
     }
 }

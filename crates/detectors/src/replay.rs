@@ -2,45 +2,47 @@
 //!
 //! The serial [`Detector`](crate::Detector) consumes events as the
 //! interpreter produces them. This module replays a *recorded* trace (see
-//! `bigfoot_bfj::trace`) instead, splitting detection into three stages:
+//! `bigfoot_bfj::trace`) instead, on the same detection front-end
+//! (`crate::engine`) with a different backend, splitting detection into
+//! three stages:
 //!
-//! 1. **Annotate** (serial). Sync events (acquire/release/fork/join/
-//!    volatiles/exit) are run in trace order against [`SyncClocks`], and
-//!    every check — immediate field/fine-array checks as well as the
-//!    deferred footprint commits that fire at each sync — is turned into a
-//!    self-contained work item carrying a snapshot of the acting thread's
-//!    [`VectorClock`] (shared via `Arc`; clocks only change at sync ops,
-//!    so snapshots are cached between them). Items get a global sequence
-//!    number in exactly the order the serial detector would perform the
-//!    corresponding shadow operations.
+//! 1. **Annotate** (serial). The front-end runs every event in trace
+//!    order, exactly as it does for the serial detector: sync events
+//!    update the clocks, footprints buffer and commit at syncs. Its
+//!    backend here, [`Annotate`], turns every shadow operation — immediate
+//!    field/fine-array checks as well as the deferred footprint commits —
+//!    into a self-contained work item carrying a snapshot of the acting
+//!    thread's [`VectorClock`] (shared via `Arc`; clocks only change at
+//!    sync ops, so snapshots are cached between them). Items get a global
+//!    sequence number in exactly the order the serial detector performs
+//!    the corresponding shadow operations.
 //! 2. **Detect** (parallel). Items route to one of [`SHARDS`] fixed
 //!    logical shards by owning object/array id, so a field group or a
-//!    whole array — including all of an [`ArrayShadow`]'s adaptive
-//!    refinement — always lands on one shard and stays sequential. `N`
-//!    workers each own the shards `s % N == w`; because routing is by
-//!    *shard* and not by worker, each shard sees the same item stream in
-//!    the same order for every worker count.
+//!    whole array — including all of an adaptive array shadow's
+//!    refinement — always lands on one shard and stays sequential. Each
+//!    shard applies its items to its own [`ShadowStore`], the same store
+//!    the serial detector uses. `N` workers each own the shards
+//!    `s % N == w`; because routing is by *shard* and not by worker, each
+//!    shard sees the same item stream in the same order for every worker
+//!    count.
 //! 3. **Merge** (serial). Per-shard race candidates, tagged
 //!    `(seq, intra_item_index)`, are sorted back into global trace order
 //!    and fed through [`Stats::report_race`] — the same deduplication the
 //!    serial detector applies inline — so the final report is
 //!    **bit-identical** to the serial detector's, at any worker count.
 //!
-//! Shadow space is also reproduced exactly: the annotator emits a probe
-//! item to every shard at each point the serial detector would sample
-//! (every [`SPACE_SAMPLE_PERIOD`] sync ops and at finalization), records
-//! its own footprint-buffer size at that point, and the merge sums the
+//! Shadow space is also reproduced exactly: at each point the front-end
+//! samples space, the backend emits a probe item to every shard and
+//! records the front-end's footprint-buffer size, and the merge sums the
 //! per-shard measurements per probe.
 
-use crate::detector::SPACE_SAMPLE_PERIOD;
-use crate::detector::{ArrayEngine, CheckSource, ObjEntry, ProxyTable, FP_POOL_MAX};
-use crate::stats::{Race, RaceTarget, Stats};
-use crate::sync::SyncClocks;
+use crate::engine::{ArrayEngine, Backend, Config, FrontEnd};
+use crate::stats::{Race, Stats};
+use crate::store::{Check, ShadowStore};
 use bigfoot_bfj::trace::{read_event, read_header, TraceError};
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, Loc, ObjId};
-use bigfoot_obs::fx::FxHashMap;
-use bigfoot_shadow::{ArrayShadow, FieldGrouping, Footprint, ObjectShadow, Slab};
-use bigfoot_vc::{AccessKind, Tid, VarState, VectorClock};
+use bigfoot_bfj::{ArrId, ConcreteRange, Event, ObjId};
+use bigfoot_shadow::FieldGrouping;
+use bigfoot_vc::{AccessKind, Tid, VectorClock};
 use std::sync::Arc;
 
 /// Number of fixed logical shards.
@@ -108,72 +110,6 @@ impl Iterator for TraceReader<'_> {
     }
 }
 
-/// Configuration of a replay run: the detector configuration plus the
-/// worker count. Constructors mirror [`Detector`](crate::Detector)'s.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Where checks come from (raw accesses vs instrumentation).
-    pub source: CheckSource,
-    /// Fine per-element arrays vs footprint + adaptive compression.
-    pub engine: ArrayEngine,
-    /// Static field-proxy groupings.
-    pub proxies: ProxyTable,
-    /// Number of detection worker threads (clamped to `1..=SHARDS`).
-    pub workers: usize,
-}
-
-impl ReplayConfig {
-    /// FastTrack configuration at the given worker count.
-    pub fn fasttrack(workers: usize) -> ReplayConfig {
-        ReplayConfig {
-            source: CheckSource::RawAccesses,
-            engine: ArrayEngine::Fine,
-            proxies: ProxyTable::identity(),
-            workers,
-        }
-    }
-
-    /// RedCard configuration.
-    pub fn redcard(proxies: ProxyTable, workers: usize) -> ReplayConfig {
-        ReplayConfig {
-            source: CheckSource::CheckEvents,
-            engine: ArrayEngine::Fine,
-            proxies,
-            workers,
-        }
-    }
-
-    /// SlimState configuration.
-    pub fn slimstate(workers: usize) -> ReplayConfig {
-        ReplayConfig {
-            source: CheckSource::RawAccesses,
-            engine: ArrayEngine::Footprint,
-            proxies: ProxyTable::identity(),
-            workers,
-        }
-    }
-
-    /// SlimCard configuration.
-    pub fn slimcard(proxies: ProxyTable, workers: usize) -> ReplayConfig {
-        ReplayConfig {
-            source: CheckSource::CheckEvents,
-            engine: ArrayEngine::Footprint,
-            proxies,
-            workers,
-        }
-    }
-
-    /// BigFoot (DynamicBF) configuration.
-    pub fn bigfoot(proxies: ProxyTable, workers: usize) -> ReplayConfig {
-        ReplayConfig {
-            source: CheckSource::CheckEvents,
-            engine: ArrayEngine::Footprint,
-            proxies,
-            workers,
-        }
-    }
-}
-
 /// One unit of check work, routed to a shard. Items carry everything the
 /// shard needs — in particular an `Arc` snapshot of the acting thread's
 /// clock at the moment the serial detector would have read it.
@@ -187,32 +123,13 @@ pub(crate) enum Item {
         arr: ArrId,
         len: u64,
     },
-    /// A field check over an uncompressed field list (groups are resolved
-    /// by the shard, which owns the object's grouping).
-    FieldCheck {
+    /// A check (field groups are resolved by the shard, which owns the
+    /// object's grouping). For a footprint commit the clock is the
+    /// committing thread's clock *before* the triggering sync operation
+    /// updated it, exactly as in the serial detector.
+    Check {
         seq: u64,
-        obj: ObjId,
-        fields: Vec<u32>,
-        kind: AccessKind,
-        t: Tid,
-        clock: Arc<VectorClock>,
-    },
-    /// A fine-grained (per-element) array check.
-    FineRange {
-        seq: u64,
-        arr: ArrId,
-        range: ConcreteRange,
-        kind: AccessKind,
-        t: Tid,
-        clock: Arc<VectorClock>,
-    },
-    /// One committed footprint range against the adaptive shadow. The
-    /// clock is the committing thread's clock *before* the triggering sync
-    /// operation updated it, exactly as in the serial detector.
-    CommitRange {
-        seq: u64,
-        arr: ArrId,
-        range: ConcreteRange,
+        target: Target,
         kind: AccessKind,
         t: Tid,
         clock: Arc<VectorClock>,
@@ -235,6 +152,24 @@ pub(crate) enum Item {
     },
 }
 
+/// An owned [`Check`], as a work item carries it.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Target {
+    Fields(ObjId, Vec<u32>),
+    Elems(ArrId, ConcreteRange),
+    Commit(ArrId, ConcreteRange),
+}
+
+impl Target {
+    fn as_check(&self) -> Check<'_> {
+        match self {
+            Target::Fields(obj, fields) => Check::Fields(*obj, fields),
+            Target::Elems(arr, range) => Check::Elems(*arr, *range),
+            Target::Commit(arr, range) => Check::Commit(*arr, *range),
+        }
+    }
+}
+
 /// What one shard's detection produced.
 #[derive(Default)]
 struct ShardOutcome {
@@ -246,17 +181,11 @@ struct ShardOutcome {
     probe_spaces: Vec<u64>,
 }
 
-/// Per-shard detection state: exactly the serial detector's shadow stores,
-/// restricted to the objects/arrays that route to this shard. Ids within
-/// shard `s` are `s, s + SHARDS, …`, so strided slabs index by
-/// `id / SHARDS` and stay dense per shard.
+/// One shard's detection: a strided [`ShadowStore`] holding the objects
+/// and arrays that route to this shard, applying the shard's items in
+/// order.
 struct ShardState {
-    engine: ArrayEngine,
-    objects: Slab<ObjId, ObjEntry>,
-    arrays_fine: Slab<ArrId, Vec<VarState>>,
-    arrays_adaptive: Slab<ArrId, ArrayShadow>,
-    /// Scratch for proxy-group deduplication in multi-field checks.
-    group_scratch: Vec<u32>,
+    store: ShadowStore,
     /// `shadow_ops` tally at the last [`Item::MemoBegin`].
     memo_mark: u64,
     out: ShardOutcome,
@@ -265,11 +194,7 @@ struct ShardState {
 impl ShardState {
     fn new(engine: ArrayEngine) -> ShardState {
         ShardState {
-            engine,
-            objects: Slab::with_stride(SHARDS as u32),
-            arrays_fine: Slab::with_stride(SHARDS as u32),
-            arrays_adaptive: Slab::with_stride(SHARDS as u32),
-            group_scratch: Vec::new(),
+            store: ShadowStore::new(engine, SHARDS as u32),
             memo_mark: 0,
             out: ShardOutcome::default(),
         }
@@ -280,6 +205,7 @@ impl ShardState {
             self.out.items += 1;
             self.apply(item);
         }
+        self.out.shadow_ops = self.store.shadow_ops;
         // Publish this worker thread's FastTrack path tallies.
         bigfoot_vc::path_stats::flush();
         self.out
@@ -287,152 +213,40 @@ impl ShardState {
 
     fn apply(&mut self, item: &Item) {
         match item {
-            Item::AllocObj { obj, grouping } => {
-                let shadow = ObjectShadow::new(grouping.groups);
-                self.objects.insert(
-                    *obj,
-                    ObjEntry {
-                        grouping: Arc::clone(grouping),
-                        shadow,
-                    },
-                );
-            }
-            Item::AllocArr { arr, len } => match self.engine {
-                ArrayEngine::Fine => {
-                    self.arrays_fine
-                        .insert(*arr, vec![VarState::new(); *len as usize]);
-                }
-                ArrayEngine::Footprint => {
-                    self.arrays_adaptive
-                        .insert(*arr, ArrayShadow::new(*len as usize));
-                }
-            },
-            Item::FieldCheck {
+            Item::AllocObj { obj, grouping } => self.store.alloc_obj(*obj, Arc::clone(grouping)),
+            Item::AllocArr { arr, len } => self.store.alloc_arr(*arr, *len),
+            Item::Check {
                 seq,
-                obj,
-                fields,
+                target,
                 kind,
                 t,
                 clock,
             } => {
-                let Some(entry) = self.objects.get_mut(*obj) else {
-                    return; // unseen allocation: serial detector skips too
-                };
-                if let [f] = fields.as_slice() {
-                    // Single-field fast path: no dedup scratch needed.
-                    let g = entry.grouping.group(*f);
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = entry.shadow.apply(g, *kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            0,
-                            Race {
-                                target: RaceTarget::Field(*obj, g),
-                                info,
-                            },
-                        ));
-                    }
-                    return;
-                }
-                let groups = &mut self.group_scratch;
-                groups.clear();
-                groups.extend(fields.iter().map(|f| entry.grouping.group(*f)));
-                groups.sort_unstable();
-                groups.dedup();
-                let mut idx = 0u32;
-                for &g in groups.iter() {
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = entry.shadow.apply(g, *kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            idx,
-                            Race {
-                                target: RaceTarget::Field(*obj, g),
-                                info,
-                            },
-                        ));
-                        idx += 1;
-                    }
-                }
-            }
-            Item::FineRange {
-                seq,
-                arr,
-                range,
-                kind,
-                t,
-                clock,
-            } => {
-                let Some(states) = self.arrays_fine.get_mut(*arr) else {
-                    return;
-                };
-                let mut idx = 0u32;
-                for i in range.indices() {
-                    if i < 0 || i as usize >= states.len() {
-                        continue;
-                    }
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = states[i as usize].apply(*kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            idx,
-                            Race {
-                                target: RaceTarget::Elems(*arr, ConcreteRange::singleton(i)),
-                                info,
-                            },
-                        ));
-                        idx += 1;
-                    }
-                }
-            }
-            Item::CommitRange {
-                seq,
-                arr,
-                range,
-                kind,
-                t,
-                clock,
-            } => {
-                let Some(shadow) = self.arrays_adaptive.get_mut(*arr) else {
-                    return;
-                };
-                let outcome = shadow.apply(*range, *kind, *t, clock);
-                self.out.shadow_ops += outcome.shadow_ops;
-                for (idx, (extent, info)) in outcome.races.into_iter().enumerate() {
-                    self.out.races.push((
-                        *seq,
-                        idx as u32,
-                        Race {
-                            target: RaceTarget::Elems(*arr, extent),
-                            info,
-                        },
-                    ));
-                }
+                let races = tagged(&mut self.out.races, *seq);
+                self.store.check(*t, clock, *kind, target.as_check(), races);
             }
             Item::MemoBegin => {
-                self.memo_mark = self.out.shadow_ops;
+                self.memo_mark = self.store.shadow_ops;
             }
             Item::MemoScale { times } => {
                 // The bracket since MemoBegin was one rule repetition; its
                 // skipped repetitions perform exactly the same shadow ops
                 // (and only duplicate, already-deduplicated races).
-                let bracket = self.out.shadow_ops - self.memo_mark;
-                self.out.shadow_ops += bracket * times;
+                let bracket = self.store.shadow_ops - self.memo_mark;
+                self.store.shadow_ops += bracket * times;
             }
-            Item::SpaceProbe => {
-                let mut units: u64 = 0;
-                for o in self.objects.values() {
-                    units += o.shadow.space_units() as u64;
-                }
-                for a in self.arrays_fine.values() {
-                    units += a.iter().map(VarState::space_units).sum::<usize>() as u64;
-                }
-                for a in self.arrays_adaptive.values() {
-                    units += a.space_units() as u64;
-                }
-                self.out.probe_spaces.push(units);
-            }
+            Item::SpaceProbe => self.out.probe_spaces.push(self.store.space_units()),
         }
+    }
+}
+
+/// Tags each race one item finds with `(seq, index within the item)`, the
+/// merge's sort key.
+fn tagged(races: &mut Vec<(u64, u32, Race)>, seq: u64) -> impl FnMut(Race) + '_ {
+    let mut idx = 0u32;
+    move |race| {
+        races.push((seq, idx, race));
+        idx += 1;
     }
 }
 
@@ -463,61 +277,35 @@ impl ItemSink for ShardQueues {
     }
 }
 
-/// The serial clock-annotation pass: mirrors the serial detector's control
-/// flow exactly, but instead of touching shadow state it emits sequenced
-/// work items into an [`ItemSink`].
-pub(crate) struct Annotator<S> {
-    source: CheckSource,
-    engine: ArrayEngine,
-    proxies: ProxyTable,
-    clocks: SyncClocks,
+/// The replay backend: instead of touching shadow state it turns each
+/// call of the front-end into a sequenced work item, carrying a shared
+/// snapshot of the acting thread's clock, for the owning shard.
+pub(crate) struct Annotate<S> {
+    pub(crate) sink: S,
     /// Cached `Arc` snapshots of thread clocks (indexed by dense tid),
     /// invalidated when a sync operation changes the thread's clock.
     snapshots: Vec<Option<Arc<VectorClock>>>,
-    /// Mirror of the serial detector's pending footprints (dense tid index,
-    /// same insertion order), so commits drain identical coalesced ranges.
-    /// `pub(crate)` so compressed replay can probe and extrapolate them.
-    pub(crate) footprints: Vec<Vec<(ArrId, Footprint)>>,
-    /// Drained footprints recycled across commit spans.
-    fp_pool: Vec<Footprint>,
-    /// Identity groupings shared per field count, as in the serial detector.
-    identity_groupings: FxHashMap<u32, Arc<FieldGrouping>>,
-    pub(crate) sink: S,
     next_seq: u64,
     /// Footprint-buffer space at each probe point (the shards measure the
-    /// shadow maps; the annotator owns the footprints).
+    /// shadow stores; the front-end owns the footprints).
     probe_fp_space: Vec<u64>,
-    /// Events processed, flushed to `det.events` at finalization (mirrors
-    /// the serial detector's aggregate-then-flush counting).
-    pub(crate) events: u64,
-    pub(crate) stats: Stats,
-    finished: bool,
 }
 
-impl Annotator<ShardQueues> {
-    fn new(config: &ReplayConfig) -> Annotator<ShardQueues> {
-        Annotator::with_sink(config, ShardQueues::new())
-    }
-}
+/// The clock-annotation pass (stage 1): the detection front-end over the
+/// replay backend.
+pub(crate) type Annotator<S> = FrontEnd<Annotate<S>>;
 
 impl<S: ItemSink> Annotator<S> {
-    pub(crate) fn with_sink(config: &ReplayConfig, sink: S) -> Annotator<S> {
-        Annotator {
-            source: config.source,
-            engine: config.engine,
-            proxies: config.proxies.clone(),
-            clocks: SyncClocks::new(),
-            snapshots: Vec::new(),
-            footprints: Vec::new(),
-            fp_pool: Vec::new(),
-            identity_groupings: FxHashMap::default(),
-            sink,
-            next_seq: 0,
-            probe_fp_space: Vec::new(),
-            events: 0,
-            stats: Stats::default(),
-            finished: false,
-        }
+    pub(crate) fn with_sink(config: &Config, sink: S) -> Annotator<S> {
+        FrontEnd::new(
+            config.clone(),
+            Annotate {
+                sink,
+                snapshots: Vec::new(),
+                next_seq: 0,
+                probe_fp_space: Vec::new(),
+            },
+        )
     }
 
     /// Tears the finalized annotator apart for stage 2/3: the sink
@@ -525,45 +313,61 @@ impl<S: ItemSink> Annotator<S> {
     /// and the running stats the merge completes.
     pub(crate) fn into_parts(self) -> (ArrayEngine, S, Vec<u64>, Stats) {
         debug_assert!(self.finished, "finalize before consuming the annotator");
-        (self.engine, self.sink, self.probe_fp_space, self.stats)
+        let Annotate {
+            sink,
+            probe_fp_space,
+            ..
+        } = self.backend;
+        (self.config.engine, sink, probe_fp_space, self.stats)
     }
+}
 
-    fn seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
+impl<S> Annotate<S> {
     /// The acting thread's current clock as a shared snapshot.
-    fn snapshot(&mut self, t: Tid) -> Arc<VectorClock> {
+    fn snapshot(&mut self, t: Tid, clock: &VectorClock) -> Arc<VectorClock> {
         if let Some(Some(c)) = self.snapshots.get(t.index()) {
             return c.clone();
         }
-        let c = Arc::new(self.clocks.clock(t).clone());
+        let c = Arc::new(clock.clone());
         if self.snapshots.len() <= t.index() {
             self.snapshots.resize(t.index() + 1, None);
         }
         self.snapshots[t.index()] = Some(c.clone());
         c
     }
+}
 
-    fn invalidate(&mut self, t: Tid) {
-        if let Some(slot) = self.snapshots.get_mut(t.index()) {
-            *slot = None;
-        }
+impl<S: ItemSink> Backend for Annotate<S> {
+    fn alloc_obj(&mut self, obj: ObjId, grouping: Arc<FieldGrouping>) {
+        self.sink
+            .item(obj_shard(obj), Item::AllocObj { obj, grouping });
     }
 
-    fn field_check(&mut self, t: Tid, obj: ObjId, fields: &[u32], kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.field_checks += 1;
-        let seq = self.seq();
-        let clock = self.snapshot(t);
+    fn alloc_arr(&mut self, arr: ArrId, len: u64) {
+        self.sink.item(arr_shard(arr), Item::AllocArr { arr, len });
+    }
+
+    fn check(
+        &mut self,
+        _: &mut Stats,
+        t: Tid,
+        clock: &VectorClock,
+        kind: AccessKind,
+        check: Check<'_>,
+    ) {
+        let (shard, target) = match check {
+            Check::Fields(obj, fields) => (obj_shard(obj), Target::Fields(obj, fields.to_vec())),
+            Check::Elems(arr, range) => (arr_shard(arr), Target::Elems(arr, range)),
+            Check::Commit(arr, range) => (arr_shard(arr), Target::Commit(arr, range)),
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let clock = self.snapshot(t, clock);
         self.sink.item(
-            obj_shard(obj),
-            Item::FieldCheck {
+            shard,
+            Item::Check {
                 seq,
-                obj,
-                fields: fields.to_vec(),
+                target,
                 kind,
                 t,
                 clock,
@@ -571,246 +375,23 @@ impl<S: ItemSink> Annotator<S> {
         );
     }
 
-    fn array_check(&mut self, t: Tid, arr: ArrId, range: ConcreteRange, kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.array_checks += 1;
-        match self.engine {
-            ArrayEngine::Fine => {
-                let seq = self.seq();
-                let clock = self.snapshot(t);
-                self.sink.item(
-                    arr_shard(arr),
-                    Item::FineRange {
-                        seq,
-                        arr,
-                        range,
-                        kind,
-                        t,
-                        clock,
-                    },
-                );
-            }
-            ArrayEngine::Footprint => {
-                self.stats.footprint_ops += 1;
-                let ti = t.index();
-                if self.footprints.len() <= ti {
-                    self.footprints.resize_with(ti + 1, Vec::new);
-                }
-                let per_thread = &mut self.footprints[ti];
-                match per_thread.iter_mut().find(|(a, _)| *a == arr) {
-                    Some((_, fp)) => fp.add(kind, range),
-                    None => {
-                        let mut fp = self.fp_pool.pop().unwrap_or_default();
-                        fp.add(kind, range);
-                        per_thread.push((arr, fp));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains thread `t`'s pending footprints into sequenced commit items,
-    /// in the serial detector's exact order: per-array insertion order,
-    /// writes before reads, ranges in coalesced order. Uses `t`'s clock
-    /// *before* the triggering sync op updates it.
-    fn commit_footprints(&mut self, t: Tid) {
-        if self.footprints.get(t.index()).is_none_or(Vec::is_empty) {
-            return;
-        }
-        let clock = self.snapshot(t);
-        let per_arr = &mut self.footprints[t.index()];
-        for (arr, fp) in per_arr.iter_mut() {
-            if fp.is_empty() {
-                continue;
-            }
-            for (kind, ranges) in [
-                (AccessKind::Write, fp.writes.ranges()),
-                (AccessKind::Read, fp.reads.ranges()),
-            ] {
-                for &range in ranges {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.sink.item(
-                        arr_shard(*arr),
-                        Item::CommitRange {
-                            seq,
-                            arr: *arr,
-                            range,
-                            kind,
-                            t,
-                            clock: clock.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        // Drain and recycle exactly as the serial detector does.
-        for (_, mut fp) in per_arr.drain(..) {
-            fp.clear();
-            if self.fp_pool.len() < FP_POOL_MAX {
-                self.fp_pool.push(fp);
-            }
+    fn clock_changed(&mut self, t: Tid) {
+        if let Some(slot) = self.snapshots.get_mut(t.index()) {
+            *slot = None;
         }
     }
 
     /// Records a global space-sample point: footprint space here, shadow
     /// space in every shard.
-    fn probe_space(&mut self) {
-        let fp: u64 = self
-            .footprints
-            .iter()
-            .map(|per_arr| {
-                per_arr
-                    .iter()
-                    .map(|(_, fp)| fp.space_units())
-                    .sum::<usize>() as u64
-            })
-            .sum();
-        self.probe_fp_space.push(fp);
+    fn sample_space(&mut self, _: &mut Stats, footprint_units: u64) {
+        self.probe_fp_space.push(footprint_units);
         for s in 0..SHARDS {
             self.sink.item(s, Item::SpaceProbe);
         }
     }
 
-    fn on_sync(&mut self, ev: &Event) {
-        // Commit before the sync updates the clocks, as in the serial
-        // detector; invalidate snapshots of every thread the op touches.
-        match ev {
-            Event::Acquire { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.acquire(*t, *lock);
-                self.invalidate(*t);
-            }
-            Event::Release { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.release(*t, *lock);
-                self.invalidate(*t);
-            }
-            Event::Fork { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.fork(*parent, *child);
-                self.invalidate(*parent);
-                self.invalidate(*child);
-            }
-            Event::Join { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.join(*parent, *child);
-                self.invalidate(*parent);
-            }
-            Event::ThreadExit { t } => {
-                self.commit_footprints(*t);
-                self.clocks.exit(*t);
-            }
-            Event::VolatileWrite { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_write(*t, *obj, *field);
-                self.invalidate(*t);
-            }
-            Event::VolatileRead { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_read(*t, *obj, *field);
-                self.invalidate(*t);
-            }
-            _ => unreachable!("on_sync requires a sync event"),
-        }
-        if self.clocks.sync_ops().is_multiple_of(SPACE_SAMPLE_PERIOD) {
-            self.probe_space();
-        }
-    }
-
-    fn ingest(&mut self, ev: &Event) {
-        self.events += 1;
-        match ev {
-            Event::AllocObj {
-                obj, class, fields, ..
-            } => {
-                let grouping = match self.proxies.grouping(*class) {
-                    Some(g) => Arc::clone(g),
-                    None => {
-                        let n = *fields;
-                        Arc::clone(
-                            self.identity_groupings
-                                .entry(n)
-                                .or_insert_with(|| Arc::new(FieldGrouping::identity(n as usize))),
-                        )
-                    }
-                };
-                self.sink.item(
-                    obj_shard(*obj),
-                    Item::AllocObj {
-                        obj: *obj,
-                        grouping,
-                    },
-                );
-            }
-            Event::AllocArr { arr, len, .. } => {
-                self.sink.item(
-                    arr_shard(*arr),
-                    Item::AllocArr {
-                        arr: *arr,
-                        len: *len,
-                    },
-                );
-            }
-            Event::Access { t, kind, loc } => {
-                match kind {
-                    AccessKind::Read => self.stats.reads += 1,
-                    AccessKind::Write => self.stats.writes += 1,
-                }
-                if self.source == CheckSource::RawAccesses {
-                    match loc {
-                        Loc::Field(obj, f) => self.field_check(*t, *obj, &[*f], *kind),
-                        Loc::Elem(arr, i) => {
-                            self.array_check(*t, *arr, ConcreteRange::singleton(*i), *kind)
-                        }
-                    }
-                }
-            }
-            Event::Check { t, paths } => {
-                if self.source == CheckSource::CheckEvents {
-                    for (kind, target) in paths {
-                        match target {
-                            CheckTarget::Fields(obj, idxs) => {
-                                self.field_check(*t, *obj, idxs, *kind)
-                            }
-                            CheckTarget::Range(arr, r) => {
-                                if !r.is_empty() {
-                                    self.array_check(*t, *arr, *r, *kind)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            sync => self.on_sync(sync),
-        }
-    }
-
-    /// Final commits (sorted-tid order, matching the serial detector's
-    /// finalize) and the final space sample.
-    pub(crate) fn finalize(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        // Ascending dense-tid order is exactly the serial detector's
-        // sorted-tid final-commit order.
-        for ti in 0..self.footprints.len() {
-            self.commit_footprints(Tid(ti as u32));
-        }
-        self.probe_space();
-        self.stats.sync_ops = self.clocks.sync_ops();
-        bigfoot_obs::count_named("det.events", self.events);
-    }
-}
-
-/// The annotation pass is itself an [`EventSink`], so compressed replay
-/// can drive it directly from decoded events.
-impl<S: ItemSink> bigfoot_bfj::EventSink for Annotator<S> {
-    #[inline]
-    fn event(&mut self, ev: &Event) {
-        self.ingest(ev);
-    }
+    /// Shadow ops and the final publish come after the merge.
+    fn finish(&mut self, _: &mut Stats) {}
 }
 
 /// Stages 2 and 3, shared by [`replay_trace`] and compressed replay
@@ -901,7 +482,8 @@ pub(crate) fn detect_and_merge(
 ///
 /// Produces [`Stats`] bit-identical to running the serial
 /// [`Detector`](crate::Detector) with the same configuration over the same
-/// event stream, for any worker count.
+/// event stream, for any number of detection `workers` (clamped to
+/// `1..=SHARDS`).
 ///
 /// # Errors
 ///
@@ -911,7 +493,7 @@ pub(crate) fn detect_and_merge(
 ///
 /// ```
 /// use bigfoot_bfj::{parse_program, trace::TraceWriter, Interp, SchedPolicy};
-/// use bigfoot_detectors::{replay_trace, Detector, ReplayConfig};
+/// use bigfoot_detectors::{replay_trace, Config, Detector};
 ///
 /// let p = parse_program(
 ///     "class C { field x; meth poke(v) { this.x = v; return 0; } }
@@ -926,7 +508,7 @@ pub(crate) fn detect_and_merge(
 /// Interp::new(&p, SchedPolicy::default()).run(&mut w)?;
 /// let bytes = w.into_bytes();
 ///
-/// let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(4))?;
+/// let stats = replay_trace(&bytes, &Config::fasttrack(), 4)?;
 /// assert!(stats.has_races());
 ///
 /// // Identical to the serial detector over the same trace:
@@ -938,14 +520,14 @@ pub(crate) fn detect_and_merge(
 /// assert_eq!(stats.races, serial.finish().races);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceError> {
+pub fn replay_trace(bytes: &[u8], config: &Config, workers: usize) -> Result<Stats, TraceError> {
     // Stage 1: serial clock annotation.
-    let mut annotator = Annotator::new(config);
+    let mut annotator = Annotator::with_sink(config, ShardQueues::new());
     {
         let _span = bigfoot_obs::span!("replay.annotate");
         let mut pos = read_header(bytes)?;
         while let Some(ev) = read_event(bytes, &mut pos)? {
-            annotator.ingest(&ev);
+            annotator.event(&ev);
         }
         annotator.finalize();
     }
@@ -955,14 +537,14 @@ pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceE
         queues,
         probe_fp_space,
         stats,
-        config.workers,
+        workers,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Detector;
+    use crate::{Detector, ProxyTable};
     use bigfoot_bfj::trace::TraceWriter;
     use bigfoot_bfj::{parse_program, EventSink, Interp, SchedPolicy};
 
@@ -1031,7 +613,7 @@ mod tests {
         let bytes = record(RACY);
         let serial = serial_stats(&bytes, Detector::fasttrack());
         for workers in [1, 2, 4] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
+            let stats = replay_trace(&bytes, &Config::fasttrack(), workers).expect("replay");
             assert!(stats.has_races());
             assert_identical(&stats, &serial);
         }
@@ -1043,17 +625,15 @@ mod tests {
             let bytes = record(src);
             let serial = serial_stats(&bytes, Detector::bigfoot(ProxyTable::identity()));
             for workers in [1, 3, 8] {
-                let stats = replay_trace(
-                    &bytes,
-                    &ReplayConfig::bigfoot(ProxyTable::identity(), workers),
-                )
-                .expect("replay");
+                let stats = replay_trace(&bytes, &Config::bigfoot(ProxyTable::identity()), workers)
+                    .expect("replay");
                 assert_identical(&stats, &serial);
             }
         }
         assert!(replay_trace(
             &record(ARRAY_SPLIT),
-            &ReplayConfig::bigfoot(ProxyTable::identity(), 2)
+            &Config::bigfoot(ProxyTable::identity()),
+            2
         )
         .expect("replay")
         .races
@@ -1064,7 +644,7 @@ mod tests {
     fn replay_matches_serial_slimstate() {
         let bytes = record(ARRAY_RACY);
         let serial = serial_stats(&bytes, Detector::slimstate());
-        let stats = replay_trace(&bytes, &ReplayConfig::slimstate(4)).expect("replay");
+        let stats = replay_trace(&bytes, &Config::slimstate(), 4).expect("replay");
         assert_identical(&stats, &serial);
         assert!(stats.has_races());
     }
@@ -1072,9 +652,9 @@ mod tests {
     #[test]
     fn worker_count_never_changes_the_report() {
         let bytes = record(ARRAY_RACY);
-        let baseline = replay_trace(&bytes, &ReplayConfig::fasttrack(1)).expect("replay");
+        let baseline = replay_trace(&bytes, &Config::fasttrack(), 1).expect("replay");
         for workers in [2, 4, 8, 64, 1000] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
+            let stats = replay_trace(&bytes, &Config::fasttrack(), workers).expect("replay");
             assert_identical(&stats, &baseline);
         }
     }
@@ -1099,11 +679,11 @@ mod tests {
             }";
         let bytes = record(src);
         for (config, serial_det) in [
-            (ReplayConfig::fasttrack(3), Detector::fasttrack()),
-            (ReplayConfig::slimstate(3), Detector::slimstate()),
+            (Config::fasttrack(), Detector::fasttrack()),
+            (Config::slimstate(), Detector::slimstate()),
         ] {
             let reference = serial_stats(&bytes, serial_det);
-            let stats = replay_trace(&bytes, &config).expect("replay");
+            let stats = replay_trace(&bytes, &config, 3).expect("replay");
             assert_identical(&stats, &reference);
             assert!(stats.has_races(), "b is raced over; a contributes nothing");
         }
@@ -1112,13 +692,13 @@ mod tests {
     #[test]
     fn malformed_trace_is_an_error() {
         assert!(matches!(
-            replay_trace(b"junk", &ReplayConfig::fasttrack(1)),
+            replay_trace(b"junk", &Config::fasttrack(), 1),
             Err(TraceError::BadMagic)
         ));
         let mut bytes = record(RACY);
         bytes.truncate(bytes.len() - 1);
         assert!(matches!(
-            replay_trace(&bytes, &ReplayConfig::fasttrack(2)),
+            replay_trace(&bytes, &Config::fasttrack(), 2),
             Err(TraceError::Truncated { .. })
         ));
     }

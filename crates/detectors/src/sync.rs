@@ -79,7 +79,8 @@ impl SyncClocks {
         self.threads[parent.index()].tick(parent);
     }
 
-    /// Processes a join edge from completed `child` into `parent`.
+    /// Processes a join edge from completed `child` into `parent`. The
+    /// child's clock is left as it is.
     pub fn join(&mut self, parent: Tid, child: Tid) {
         self.ensure(parent);
         self.ensure(child);
@@ -88,8 +89,10 @@ impl SyncClocks {
         self.threads[parent.index()].join(&cc);
     }
 
-    /// Processes a thread exit (ticks the exiting thread so later joins see
-    /// a final clock distinct from its last accesses).
+    /// Processes a thread exit. Only the operation is counted: the exiting
+    /// thread's clock is left as it is, so a later join reads the clock the
+    /// thread last accessed memory under. Trace replay relies on this: its
+    /// clock snapshot of the exiting thread stays valid.
     pub fn exit(&mut self, t: Tid) {
         self.ensure(t);
         self.sync_ops += 1;
@@ -170,6 +173,19 @@ mod tests {
         let c2 = s.clock(Tid(2)).clone();
         assert!(!c1.leq(&c2));
         assert!(!c2.leq(&c1));
+    }
+
+    #[test]
+    fn exit_and_join_leave_the_exiting_and_joined_clocks_unchanged() {
+        let mut s = SyncClocks::new();
+        s.fork(Tid(0), Tid(1));
+        s.release(Tid(1), ObjId(9));
+        let child = s.clock(Tid(1)).clone();
+        s.exit(Tid(1));
+        assert_eq!(s.clock(Tid(1)), &child, "exit must not move the clock");
+        s.join(Tid(0), Tid(1));
+        assert_eq!(s.clock(Tid(1)), &child, "join must not move the child");
+        assert_eq!(s.sync_ops(), 4, "both still count as sync operations");
     }
 
     #[test]

@@ -93,11 +93,12 @@ use bigfoot_bfj::{
     RuntimeError, SchedPolicy, Tid, Value,
 };
 use bigfoot_detectors::{
-    replay_compressed_report, replay_trace, Detector, DjitDetector, ProxyTable, ReplayConfig, Stats,
+    replay_compressed_report, replay_trace, Config, Detector, DjitDetector, ProxyTable, Stats,
 };
 use bigfoot_fuzz::{run_campaign, FuzzOptions};
 use bigfoot_obs::cli::{CliArgs, CliError};
 use bigfoot_obs::json::Json;
+use std::borrow::Cow;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -888,22 +889,15 @@ fn record_trace(
     compiled: bool,
     compress: bool,
 ) -> Result<Vec<u8>, CliError> {
-    let rec = |prog: &Program| -> Result<Vec<u8>, CliError> {
-        if compress {
-            let mut w = CompressedTraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(runtime)?;
-            Ok(w.into_bytes())
-        } else {
-            let mut w = TraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(runtime)?;
-            Ok(w.into_bytes())
-        }
-    };
-    match which {
-        "bigfoot" => rec(&instrument(program).program),
-        "redcard" | "slimcard" => rec(&redcard_instrument(program).0),
-        // fasttrack / slimstate / djit detect on the raw event stream.
-        _ => rec(program),
+    let (prog, _) = configure(program, which)?;
+    if compress {
+        let mut w = CompressedTraceWriter::new();
+        execute(&prog, policy, compiled, &mut w).map_err(runtime)?;
+        Ok(w.into_bytes())
+    } else {
+        let mut w = TraceWriter::new();
+        execute(&prog, policy, compiled, &mut w).map_err(runtime)?;
+        Ok(w.into_bytes())
     }
 }
 
@@ -959,20 +953,22 @@ fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode
     let workers = workers.unwrap_or(1);
     // Proxy groupings are a static-analysis artifact, not part of the
     // trace; the identity table keeps field checks ungrouped.
+    let proxies = ProxyTable::identity();
     let config = match which {
-        "bigfoot" => ReplayConfig::bigfoot(ProxyTable::identity(), workers),
-        "fasttrack" => ReplayConfig::fasttrack(workers),
-        "slimstate" => ReplayConfig::slimstate(workers),
-        "redcard" => ReplayConfig::redcard(ProxyTable::identity(), workers),
-        _ => ReplayConfig::slimcard(ProxyTable::identity(), workers),
+        "bigfoot" => Config::bigfoot(proxies),
+        "fasttrack" => Config::fasttrack(),
+        "slimstate" => Config::slimstate(),
+        "redcard" => Config::redcard(proxies),
+        _ => Config::slimcard(proxies),
     };
     let compressed = is_compressed(bytes);
     let (stats, memo) = if compressed {
-        let (stats, report) = replay_compressed_report(bytes, &config)
+        let (stats, report) = replay_compressed_report(bytes, &config, workers)
             .map_err(|e| failed(format!("{input}: {e}")))?;
         (stats, Some(report))
     } else {
-        let stats = replay_trace(bytes, &config).map_err(|e| failed(format!("{input}: {e}")))?;
+        let stats =
+            replay_trace(bytes, &config, workers).map_err(|e| failed(format!("{input}: {e}")))?;
         (stats, None)
     };
     if args.has("--json") {
@@ -1049,6 +1045,37 @@ fn execute<S: EventSink>(
     }
 }
 
+/// The program a named detector checks and its configuration: BigFoot
+/// checks the BigFoot-instrumented program, RedCard and SlimCard the
+/// RedCard-instrumented one, FastTrack and SlimState the program as
+/// written. DJIT+ checks the program as written and has no [`Config`].
+fn configure<'p>(
+    program: &'p Program,
+    which: &str,
+) -> Result<(Cow<'p, Program>, Option<Config>), CliError> {
+    Ok(match which {
+        "bigfoot" => {
+            let inst = instrument(program);
+            (
+                Cow::Owned(inst.program),
+                Some(Config::bigfoot(inst.proxies)),
+            )
+        }
+        "fasttrack" => (Cow::Borrowed(program), Some(Config::fasttrack())),
+        "slimstate" => (Cow::Borrowed(program), Some(Config::slimstate())),
+        "redcard" => {
+            let (rc, proxies) = redcard_instrument(program);
+            (Cow::Owned(rc), Some(Config::redcard(proxies)))
+        }
+        "slimcard" => {
+            let (rc, proxies) = redcard_instrument(program);
+            (Cow::Owned(rc), Some(Config::slimcard(proxies)))
+        }
+        "djit" => (Cow::Borrowed(program), None),
+        other => return Err(format!("unknown detector `{other}`").into()),
+    })
+}
+
 /// Runs one schedule under the named detector configuration. With
 /// `replay_workers` set, the schedule is recorded to an in-memory trace and
 /// detection runs through the parallel sharded replay engine instead of
@@ -1060,70 +1087,25 @@ fn check_once(
     replay_workers: Option<usize>,
     compiled: bool,
 ) -> Result<Stats, CliError> {
-    if let Some(workers) = replay_workers {
-        return check_replay(program, which, policy, workers, compiled);
-    }
-    let run_detector = |prog: &Program, mut det: Detector| -> Result<Stats, CliError> {
-        execute(prog, policy, compiled, &mut det).map_err(runtime)?;
-        Ok(det.finish())
-    };
-    match which {
-        "bigfoot" => {
-            let inst = instrument(program);
-            run_detector(&inst.program, Detector::bigfoot(inst.proxies.clone()))
-        }
-        "fasttrack" => run_detector(program, Detector::fasttrack()),
-        "slimstate" => run_detector(program, Detector::slimstate()),
-        "redcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            run_detector(&rc, Detector::redcard(proxies))
-        }
-        "slimcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            run_detector(&rc, Detector::slimcard(proxies))
-        }
-        "djit" => {
+    let (prog, config) = configure(program, which)?;
+    match (config, replay_workers) {
+        (None, Some(_)) => Err("--replay-workers is not supported for --detector djit".into()),
+        (None, None) => {
             let mut det = DjitDetector::new();
-            execute(program, policy, compiled, &mut det).map_err(runtime)?;
+            execute(&prog, policy, compiled, &mut det).map_err(runtime)?;
             Ok(det.finish())
         }
-        other => Err(format!("unknown detector `{other}`").into()),
-    }
-}
-
-/// Record-then-replay variant of [`check_once`].
-fn check_replay(
-    program: &Program,
-    which: &str,
-    policy: SchedPolicy,
-    workers: usize,
-    compiled: bool,
-) -> Result<Stats, CliError> {
-    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
-        let mut w = TraceWriter::new();
-        execute(prog, policy, compiled, &mut w).map_err(runtime)?;
-        replay_trace(&w.into_bytes(), &config).map_err(|e| failed(format!("replay error: {e}")))
-    };
-    match which {
-        "bigfoot" => {
-            let inst = instrument(program);
-            replay(
-                &inst.program,
-                ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            )
+        (Some(config), None) => {
+            let mut det = Detector::new(config);
+            execute(&prog, policy, compiled, &mut det).map_err(runtime)?;
+            Ok(det.finish())
         }
-        "fasttrack" => replay(program, ReplayConfig::fasttrack(workers)),
-        "slimstate" => replay(program, ReplayConfig::slimstate(workers)),
-        "redcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            replay(&rc, ReplayConfig::redcard(proxies, workers))
+        (Some(config), Some(workers)) => {
+            let mut w = TraceWriter::new();
+            execute(&prog, policy, compiled, &mut w).map_err(runtime)?;
+            replay_trace(&w.into_bytes(), &config, workers)
+                .map_err(|e| failed(format!("replay error: {e}")))
         }
-        "slimcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            replay(&rc, ReplayConfig::slimcard(proxies, workers))
-        }
-        "djit" => Err("--replay-workers is not supported for --detector djit".into()),
-        other => Err(format!("unknown detector `{other}`").into()),
     }
 }
 

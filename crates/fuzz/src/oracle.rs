@@ -45,7 +45,7 @@ use bigfoot_bfj::{
     SchedPolicy, TraceWriter,
 };
 use bigfoot_detectors::{
-    replay_compressed, replay_trace, verify_precise_checks, Detector, ReplayConfig, Stats,
+    replay_compressed, replay_trace, verify_precise_checks, Config, Detector, Stats,
 };
 
 /// Step bound for generated programs (they terminate well before this;
@@ -288,11 +288,11 @@ fn roundtrip(label: &str, bytes: &[u8], events: &[Event]) -> Option<Divergence> 
 fn replay_matches(
     label: &str,
     bytes: &[u8],
-    config: &ReplayConfig,
+    config: &Config,
     workers: usize,
     truth: &Stats,
 ) -> Option<Divergence> {
-    let got = match replay_trace(bytes, config) {
+    let got = match replay_trace(bytes, config, workers) {
         Ok(s) => s,
         Err(e) => {
             return Some(Divergence::new(
@@ -329,7 +329,7 @@ fn replay_matches(
 fn compressed_matches(
     label: &str,
     bytes: &[u8],
-    configs: &[(&str, ReplayConfig, &Stats)],
+    configs: &[(&str, Config, &Stats)],
 ) -> Option<Divergence> {
     let packed = match bigfoot_bfj::compress(bytes) {
         Ok(p) => p,
@@ -367,9 +367,7 @@ fn compressed_matches(
     }
     for (name, config, truth) in configs {
         for workers in REPLAY_WORKERS {
-            let mut config = config.clone();
-            config.workers = workers;
-            let got = match replay_compressed(&packed, &config) {
+            let got = match replay_compressed(&packed, config, workers) {
                 Ok(s) => s,
                 Err(e) => {
                     return Some(Divergence::new(
@@ -479,7 +477,7 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         if let Some(d) = replay_matches(
             "unoptimized",
             &ft_bytes,
-            &ReplayConfig::fasttrack(workers),
+            &Config::fasttrack(),
             workers,
             &ft_truth,
         ) {
@@ -488,7 +486,7 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         if let Some(d) = replay_matches(
             "instrumented",
             &bf_bytes,
-            &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
+            &Config::bigfoot(inst.proxies.clone()),
             workers,
             &bf,
         ) {
@@ -506,8 +504,8 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         "unoptimized",
         &ft_bytes,
         &[
-            ("fasttrack", ReplayConfig::fasttrack(1), &ft_truth),
-            ("slimstate", ReplayConfig::slimstate(1), &ss_truth),
+            ("fasttrack", Config::fasttrack(), &ft_truth),
+            ("slimstate", Config::slimstate(), &ss_truth),
         ],
     ) {
         return Some(d);
@@ -515,11 +513,7 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
     if let Some(d) = compressed_matches(
         "instrumented",
         &bf_bytes,
-        &[(
-            "bigfoot",
-            ReplayConfig::bigfoot(inst.proxies.clone(), 1),
-            &bf,
-        )],
+        &[("bigfoot", Config::bigfoot(inst.proxies.clone()), &bf)],
     ) {
         return Some(d);
     }

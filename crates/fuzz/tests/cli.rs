@@ -138,6 +138,48 @@ fn non_usage_failures_skip_the_banner() {
 }
 
 #[test]
+fn corrupt_traces_are_typed_errors_not_aborts() {
+    // Hand-assembled one-event BFTR traces whose thread id, field count or
+    // array length is far over the limits: each exits 2 with the decode
+    // error, under every detector, instead of aborting on allocation.
+    let header: &[u8] = b"BFTR\x01";
+    let cases: [(&str, &[u8], &str); 3] = [
+        (
+            "exit.bftr",
+            b"\x0a\xf0\xff\xff\xff\x0f",
+            "thread id 4294967280",
+        ),
+        (
+            "obj.bftr",
+            b"\x00\x00\x00\x00\xff\xff\xff\xff\x0f",
+            "field count 4294967295",
+        ),
+        (
+            "arr.bftr",
+            b"\x01\x00\x00\x80\x80\x80\x80\x80\x20",
+            "array length 1099511627776",
+        ),
+    ];
+    let dir = std::env::temp_dir().join("bfc-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, event, message) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, [header, event].concat()).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        for det in ["fasttrack", "redcard", "bigfoot"] {
+            let out = bfc(&["replay", &path, "--detector", det, "--replay-workers", "2"]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} under {det}: {err}");
+            assert!(err.contains(message), "{name} under {det}: {err}");
+            assert!(
+                err.contains("exceeds the limit"),
+                "{name} under {det}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn every_detector_flag_works() {
     let racy = write_program("racy2.bfj", RACY);
     for det in [

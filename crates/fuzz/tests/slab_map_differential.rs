@@ -12,7 +12,7 @@ use bigfoot::instrument;
 use bigfoot_bfj::{
     parse_program, trace::TraceWriter, Event, EventSink, Interp, Program, SchedPolicy,
 };
-use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig, TraceReader};
+use bigfoot_detectors::{replay_trace, Config, Detector, ProxyTable, TraceReader};
 use bigfoot_fuzz::FuzzCase;
 use bigfoot_shadow::slab::set_force_map_store;
 use bigfoot_workloads::{benchmarks, Scale};
@@ -48,15 +48,15 @@ fn observe_all(bytes: &[u8], events: &[Event], proxies: &ProxyTable) -> Vec<(Str
         ));
     }
     for workers in [1, 4] {
-        let configs: Vec<(&str, ReplayConfig)> = vec![
-            ("FT", ReplayConfig::fasttrack(workers)),
-            ("RC", ReplayConfig::redcard(proxies.clone(), workers)),
-            ("SS", ReplayConfig::slimstate(workers)),
-            ("SC", ReplayConfig::slimcard(proxies.clone(), workers)),
-            ("BF", ReplayConfig::bigfoot(proxies.clone(), workers)),
+        let configs: Vec<(&str, Config)> = vec![
+            ("FT", Config::fasttrack()),
+            ("RC", Config::redcard(proxies.clone())),
+            ("SS", Config::slimstate()),
+            ("SC", Config::slimcard(proxies.clone())),
+            ("BF", Config::bigfoot(proxies.clone())),
         ];
         for (name, config) in configs {
-            let stats = replay_trace(bytes, &config).expect("replay");
+            let stats = replay_trace(bytes, &config, workers).expect("replay");
             out.push((
                 format!("replay{workers}/{name}"),
                 format!(
