@@ -41,10 +41,8 @@
 //!   raw-trace replay against detection directly on the compressed form
 //!   (per-benchmark compression ratio, replay events/sec both ways,
 //!   memoization counts, and verdict equality) in an additive
-//!   `compressed` section. An always-on `static_incremental` section
-//!   reports the persistent placement cache's cold vs warm analysis
-//!   wall time and the post-edit skip rate. The drift gate compares
-//!   section *presence* in both directions, so `--check` must run with the same flags the
+//!   `compressed` section. The drift gate compares section *presence* in
+//!   both directions, so `--check` must run with the same flags the
 //!   committed baseline was generated with.
 //! * `--json` — emit the machine-readable report (schema in
 //!   `docs/OBSERVABILITY.md`) on stdout instead of the human tables;
@@ -195,8 +193,7 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
         }
         println!(
             "fuzz: {} case(s) over seeds {}..{} in {:.1}s — all oracles agree \
-             (roundtrip {}, compiled {}, placement {}, incremental {}, replay {}, \
-             compressed {})",
+             (roundtrip {}, compiled {}, placement {}, replay {}, compressed {})",
             report.cases,
             report.seed_lo,
             report.seed_hi,
@@ -206,7 +203,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
             report.oracle_runs[2],
             report.oracle_runs[3],
             report.oracle_runs[4],
-            report.oracle_runs[5],
         );
         return Ok(());
     }
@@ -264,14 +260,8 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
                 }
             }
         }
-        eprintln!("incremental static analysis (cold vs warm placement cache) …");
-        let incremental: Vec<bigfoot_bench::perf::StaticIncrementalBench> = selected
-            .iter()
-            .map(|b| bigfoot_bench::perf::measure_static_incremental(b.name, &b.program, reps))
-            .collect();
         let report = bigfoot_bench::perf::perf_json(
             &results,
-            &incremental,
             compiled.as_deref(),
             compressed.as_deref(),
             scale_name,
@@ -294,7 +284,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
             return emit(Some(report), args, true);
         }
         perf_table(&results);
-        incremental_table(&incremental);
         if let Some(compiled) = &compiled {
             compiled_table(compiled);
         }
@@ -351,32 +340,20 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
             measure(b.name, &b.program, reps)
         })
         .collect();
-    // The `static` and `all` reports also cover the incremental pipeline
-    // (cold vs warm placement-cache wall time and post-edit skip rate).
-    let measure_inc = || -> Vec<bigfoot_bench::perf::StaticIncrementalBench> {
-        eprintln!("incremental static analysis (cold vs warm placement cache) …");
-        selected
-            .iter()
-            .map(|b| bigfoot_bench::perf::measure_static_incremental(b.name, &b.program, reps))
-            .collect()
-    };
     if json {
         let report = match what.as_str() {
             "table1" => report::table1_json(&results, scale_name, reps),
             "table2" => report::table2_json(&results, scale_name, reps),
             "fig2" => report::fig2_json(&results, scale_name, reps),
             "fig8" => report::fig8_json(&results, scale_name, reps),
-            "static" => report::static_json(&results, &measure_inc(), scale_name, reps),
+            "static" => report::static_json(&results, scale_name, reps),
             "all" => {
                 let mut all = report::envelope("all", scale_name, reps);
                 all.set("table1", report::table1_json(&results, scale_name, reps));
                 all.set("table2", report::table2_json(&results, scale_name, reps));
                 all.set("fig2", report::fig2_json(&results, scale_name, reps));
                 all.set("fig8", report::fig8_json(&results, scale_name, reps));
-                all.set(
-                    "static",
-                    report::static_json(&results, &measure_inc(), scale_name, reps),
-                );
+                all.set("static", report::static_json(&results, scale_name, reps));
                 all
             }
             other => return Err(format!("unknown command `{other}`").into()),
@@ -388,10 +365,7 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
         "table2" => table2(&results),
         "fig2" => fig2(&results),
         "fig8" => fig8(&results),
-        "static" => {
-            static_stats(&results);
-            incremental_table(&measure_inc());
-        }
+        "static" => static_stats(&results),
         "all" => {
             table1(&results);
             println!();
@@ -402,7 +376,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), CliError> {
             fig2(&results);
             println!();
             static_stats(&results);
-            incremental_table(&measure_inc());
         }
         other => return Err(format!("unknown command `{other}`").into()),
     }
@@ -605,56 +578,6 @@ fn perf_table(results: &[bigfoot_bench::perf::PerfBench]) {
         );
     }
     println!(" |");
-}
-
-fn incremental_table(results: &[bigfoot_bench::perf::StaticIncrementalBench]) {
-    println!();
-    println!(
-        "== incremental static analysis: cold vs warm placement cache \
-         (warm-after-edit = one-method arithmetic tweak) =="
-    );
-    println!(
-        "{:<11} {:>6} {:>10} {:>10} {:>7} | {:>12} {:>5} {:>5} {:>6}",
-        "program", "sites", "cold ms", "warm ms", "w/c", "edit-warm ms", "hit", "miss", "skip"
-    );
-    for r in results {
-        println!(
-            "{:<11} {:>6} {:>10.3} {:>10.3} {:>6.2} | {:>12.3} {:>5} {:>5} {:>5.0}%",
-            r.name,
-            r.sites,
-            r.cold_ns as f64 / 1e6,
-            r.warm_ns as f64 / 1e6,
-            r.warm_over_cold(),
-            r.edit_warm_ns as f64 / 1e6,
-            r.edit_hits,
-            r.edit_misses,
-            r.edit_skip_rate() * 100.0,
-        );
-    }
-    let cold: u64 = results.iter().map(|r| r.cold_ns).sum();
-    let warm: u64 = results.iter().map(|r| r.warm_ns).sum();
-    let hits: usize = results.iter().map(|r| r.edit_hits).sum();
-    let total: usize = results.iter().map(|r| r.edit_hits + r.edit_misses).sum();
-    println!(
-        "{:<11} {:>6} {:>10.3} {:>10.3} {:>6.2} | {:>12} {:>5} {:>5} {:>5.0}%",
-        "Total",
-        total,
-        cold as f64 / 1e6,
-        warm as f64 / 1e6,
-        if cold > 0 {
-            warm as f64 / cold as f64
-        } else {
-            1.0
-        },
-        "",
-        hits,
-        total - hits,
-        if total > 0 {
-            hits as f64 / total as f64 * 100.0
-        } else {
-            0.0
-        },
-    );
 }
 
 fn compiled_table(results: &[bigfoot_bench::perf::CompiledBench]) {

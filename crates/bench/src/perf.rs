@@ -10,13 +10,10 @@
 //! the interpreter does — exactly what a perf baseline must track.
 
 use crate::{geomean, StaticObsStats, DETECTORS};
-use bigfoot::{
-    instrument, instrument_incremental, naive_instrument, redcard_instrument, InstrumentOptions,
-    Instrumented, CACHE_FILE,
-};
+use bigfoot::{instrument, naive_instrument, redcard_instrument, Instrumented};
 use bigfoot_bfj::{
-    compile, mutate, site_count, trace::TraceWriter, CompiledVm, Event, EventSink, Interp,
-    MutationKind, NullSink, Program, SchedPolicy,
+    compile, trace::TraceWriter, CompiledVm, Event, EventSink, Interp, NullSink, Program,
+    SchedPolicy,
 };
 use bigfoot_detectors::{
     replay_compressed_report, replay_trace, CheckSource, Config, Detector, ProxyTable, Stats,
@@ -462,131 +459,13 @@ pub fn measure_compressed(name: &'static str, program: &Program, reps: usize) ->
     CompressedBench { name, detectors }
 }
 
-/// Cold vs warm incremental static-analysis cost for one benchmark —
-/// the data behind the always-on `static_incremental` section of the
-/// `repro perf` report.
-#[derive(Debug, Clone)]
-pub struct StaticIncrementalBench {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Cacheable analysis sites (class methods plus `main`).
-    pub sites: usize,
-    /// Median cold analysis wall time (empty cache).
-    pub cold_ns: u64,
-    /// Median warm analysis wall time with an up-to-date cache (every
-    /// site replays).
-    pub warm_ns: u64,
-    /// Median warm analysis wall time after a one-method arithmetic
-    /// tweak (one site re-analyzes, the rest replay).
-    pub edit_warm_ns: u64,
-    /// Cache hits during the post-edit warm run.
-    pub edit_hits: usize,
-    /// Cache misses during the post-edit warm run.
-    pub edit_misses: usize,
-}
-
-impl StaticIncrementalBench {
-    /// Warm / cold wall-time ratio (< 1 means the cache pays).
-    pub fn warm_over_cold(&self) -> f64 {
-        if self.cold_ns > 0 {
-            self.warm_ns as f64 / self.cold_ns as f64
-        } else {
-            1.0
-        }
-    }
-
-    /// Fraction of sites skipped on the post-edit warm run.
-    pub fn edit_skip_rate(&self) -> f64 {
-        let total = self.edit_hits + self.edit_misses;
-        if total > 0 {
-            self.edit_hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Median of raw nanosecond samples.
-fn median_ns(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Measures the incremental static pipeline on one benchmark: cold
-/// analysis into an empty cache, warm re-analysis of the unchanged
-/// program, and warm re-analysis after a single-method non-fact edit
-/// (the evolving-program case the cache exists for). Uses a throwaway
-/// cache directory under the system temp dir.
-pub fn measure_static_incremental(
-    name: &'static str,
-    program: &Program,
-    reps: usize,
-) -> StaticIncrementalBench {
-    let opts = InstrumentOptions::default();
-    let dir = std::env::temp_dir().join(format!(
-        "bigfoot-perf-inc-{name}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-
-    // Timed runs measure the bare pipeline, not metric plumbing.
-    let obs_was_on = bigfoot_obs::enabled();
-    bigfoot_obs::set_enabled(false);
-
-    let reps = reps.max(1);
-    let mut cold = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let _ = std::fs::remove_dir_all(&dir);
-        let t0 = Instant::now();
-        std::hint::black_box(instrument_incremental(program, opts, &dir));
-        cold.push(t0.elapsed().as_nanos() as u64);
-    }
-
-    // The last cold run left a fresh cache behind; snapshot its bytes so
-    // the post-edit runs below can each start from the same warm state.
-    let seeded = std::fs::read(dir.join(CACHE_FILE)).expect("cache written");
-    let mut warm = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(instrument_incremental(program, opts, &dir));
-        warm.push(t0.elapsed().as_nanos() as u64);
-    }
-
-    let mut edited = program.clone();
-    mutate(&mut edited, 0, MutationKind::ArithTweak, 5).expect("benchmark has a method");
-    let mut edit_warm = Vec::with_capacity(reps);
-    let (mut edit_hits, mut edit_misses) = (0, 0);
-    for _ in 0..reps {
-        std::fs::write(dir.join(CACHE_FILE), &seeded).expect("replant cache");
-        let t0 = Instant::now();
-        let (_, stats) = instrument_incremental(&edited, opts, &dir);
-        edit_warm.push(t0.elapsed().as_nanos() as u64);
-        edit_hits = stats.hits;
-        edit_misses = stats.misses;
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    bigfoot_obs::set_enabled(obs_was_on);
-
-    StaticIncrementalBench {
-        name,
-        sites: site_count(program),
-        cold_ns: median_ns(cold),
-        warm_ns: median_ns(warm),
-        edit_warm_ns: median_ns(edit_warm),
-        edit_hits,
-        edit_misses,
-    }
-}
-
 /// The `repro perf --json` report (the `BENCH.json` schema). The
 /// `compiled` and `compressed` sections are additive: present only when
-/// `--compiled` and `--compressed` ran. The `static_incremental` section
-/// is always present. Of all these, [`check_against_baseline`] never
-/// reads the numbers, but it does require the baseline and the fresh
+/// `--compiled` and `--compressed` ran. [`check_against_baseline`] never
+/// reads their numbers, but it does require the baseline and the fresh
 /// report to carry the same set of sections.
 pub fn perf_json(
     results: &[PerfBench],
-    incremental: &[StaticIncrementalBench],
     compiled: Option<&[CompiledBench]>,
     compressed: Option<&[CompressedBench]>,
     scale: &str,
@@ -647,55 +526,6 @@ pub fn perf_json(
     }
     summary.set("shadow_space_peak_total", space);
     env.set("summary", summary);
-
-    {
-        let mut inc = Json::object();
-        let mut arr = Json::array();
-        for r in incremental {
-            let mut b = Json::object();
-            b.set("name", r.name);
-            b.set("sites", r.sites as u64);
-            b.set("cold_ms", r.cold_ns as f64 / 1e6);
-            b.set("warm_ms", r.warm_ns as f64 / 1e6);
-            b.set("warm_over_cold", r.warm_over_cold());
-            b.set("edit_warm_ms", r.edit_warm_ns as f64 / 1e6);
-            b.set("edit_hits", r.edit_hits as u64);
-            b.set("edit_misses", r.edit_misses as u64);
-            b.set("edit_skip_rate", r.edit_skip_rate());
-            arr.push(b);
-        }
-        inc.set("benchmarks", arr);
-        let mut isummary = Json::object();
-        let cold_ns: u64 = incremental.iter().map(|r| r.cold_ns).sum();
-        let warm_ns: u64 = incremental.iter().map(|r| r.warm_ns).sum();
-        let edit_ns: u64 = incremental.iter().map(|r| r.edit_warm_ns).sum();
-        isummary.set("cold_ms", cold_ns as f64 / 1e6);
-        isummary.set("warm_ms", warm_ns as f64 / 1e6);
-        isummary.set(
-            "warm_over_cold",
-            if cold_ns > 0 {
-                warm_ns as f64 / cold_ns as f64
-            } else {
-                1.0
-            },
-        );
-        isummary.set("edit_warm_ms", edit_ns as f64 / 1e6);
-        let hits: usize = incremental.iter().map(|r| r.edit_hits).sum();
-        let total: usize = incremental
-            .iter()
-            .map(|r| r.edit_hits + r.edit_misses)
-            .sum();
-        isummary.set(
-            "edit_skip_rate",
-            if total > 0 {
-                hits as f64 / total as f64
-            } else {
-                0.0
-            },
-        );
-        inc.set("summary", isummary);
-        env.set("static_incremental", inc);
-    }
 
     if let Some(compiled) = compiled {
         let mut c = Json::object();

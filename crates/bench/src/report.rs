@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 4,
 //!   "tool": "repro",
 //!   "command": "table1",
 //!   "scale": "small",
@@ -30,7 +30,10 @@ use bigfoot_obs::json::Json;
 /// section in the same release.
 /// v3: the `perf` report lost its `pipeline` and `pipeline_sharded`
 /// sections (`bfc` stays at v2).
-pub const SCHEMA_VERSION: u64 = 3;
+/// v4: the placement cache is gone, and with it the `perf` report's
+/// cold/warm cache section and the `static` summary's cache fields
+/// (`bfc` is at v3).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// The common envelope of every `repro` report.
 pub fn envelope(command: &str, scale: &str, reps: usize) -> Json {
@@ -190,15 +193,9 @@ pub fn fig8_json(results: &[BenchResult], scale: &str, reps: usize) -> Json {
 }
 
 /// `repro static --json`: the §6.1 scaling claim, with per-method wall
-/// times, the entailment engine's measured share of analysis time
-/// (sourced from `bigfoot-obs` spans), and the incremental pipeline's
-/// cold/warm wall times and post-edit skip rate.
-pub fn static_json(
-    results: &[BenchResult],
-    incremental: &[crate::perf::StaticIncrementalBench],
-    scale: &str,
-    reps: usize,
-) -> Json {
+/// times and the entailment engine's measured share of analysis time
+/// (sourced from `bigfoot-obs` spans).
+pub fn static_json(results: &[BenchResult], scale: &str, reps: usize) -> Json {
     let env = with_benchmarks(envelope("static", scale, reps), results);
     let mut summary = Json::object();
     summary.set(
@@ -227,31 +224,6 @@ pub fn static_json(
             .iter()
             .map(|r| r.static_obs.entail_queries)
             .sum::<u64>(),
-    );
-    let cold_ns: u64 = incremental.iter().map(|r| r.cold_ns).sum();
-    let warm_ns: u64 = incremental.iter().map(|r| r.warm_ns).sum();
-    summary.set("incremental_cold_ms", cold_ns as f64 / 1e6);
-    summary.set("incremental_warm_ms", warm_ns as f64 / 1e6);
-    summary.set(
-        "incremental_warm_over_cold",
-        if cold_ns > 0 {
-            warm_ns as f64 / cold_ns as f64
-        } else {
-            1.0
-        },
-    );
-    let hits: usize = incremental.iter().map(|r| r.edit_hits).sum();
-    let total: usize = incremental
-        .iter()
-        .map(|r| r.edit_hits + r.edit_misses)
-        .sum();
-    summary.set(
-        "incremental_edit_skip_rate",
-        if total > 0 {
-            hits as f64 / total as f64
-        } else {
-            0.0
-        },
     );
     finish(env, summary)
 }

@@ -26,7 +26,7 @@ fn parse_stdout(out: &Output) -> Json {
 }
 
 fn check_envelope(report: &Json, command: &str) {
-    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(3));
+    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(4));
     assert_eq!(report.get("tool").and_then(Json::as_str), Some("repro"));
     assert_eq!(report.get("command").and_then(Json::as_str), Some(command));
     assert_eq!(report.get("scale").and_then(Json::as_str), Some("small"));
@@ -134,75 +134,6 @@ fn static_json_reports_entailment_share_from_spans() {
             .unwrap()
             > 0
     );
-    // The incremental pipeline's cold/warm wall times and skip rate.
-    let cold = summary
-        .get("incremental_cold_ms")
-        .and_then(Json::as_f64)
-        .unwrap();
-    let warm = summary
-        .get("incremental_warm_ms")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(cold > 0.0, "cold incremental analysis not measured");
-    assert!(warm > 0.0, "warm incremental analysis not measured");
-    let ratio = summary
-        .get("incremental_warm_over_cold")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(ratio > 0.0);
-    let skip = summary
-        .get("incremental_edit_skip_rate")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(
-        (0.0..1.0).contains(&skip),
-        "one edited method must miss, the rest hit: {skip}"
-    );
-    assert!(skip > 0.0, "unchanged methods must hit the cache");
-}
-
-#[test]
-fn perf_json_always_carries_the_static_incremental_section() {
-    let out = repro(&[
-        "perf", "--json", "--scale", "small", "--reps", "1", "--bench", "crypt",
-    ]);
-    let report = parse_stdout(&out);
-    check_envelope(&report, "perf");
-    let inc = report
-        .get("static_incremental")
-        .expect("static_incremental section is always on");
-    let benches = inc.get("benchmarks").unwrap().items();
-    assert_eq!(benches.len(), 1);
-    let b = &benches[0];
-    assert_eq!(b.get("name").and_then(Json::as_str), Some("crypt"));
-    let sites = b.get("sites").and_then(Json::as_u64).unwrap();
-    assert!(sites >= 2);
-    assert!(b.get("cold_ms").and_then(Json::as_f64).unwrap() > 0.0);
-    assert!(b.get("warm_ms").and_then(Json::as_f64).unwrap() > 0.0);
-    assert_eq!(
-        b.get("edit_misses").and_then(Json::as_u64),
-        Some(1),
-        "an arithmetic tweak dirties exactly one method"
-    );
-    assert_eq!(b.get("edit_hits").and_then(Json::as_u64), Some(sites - 1));
-    let summary = inc.get("summary").unwrap();
-    for key in [
-        "cold_ms",
-        "warm_ms",
-        "warm_over_cold",
-        "edit_warm_ms",
-        "edit_skip_rate",
-    ] {
-        assert!(
-            summary.get(key).and_then(Json::as_f64).is_some(),
-            "missing static_incremental summary key `{key}`"
-        );
-    }
-    // Schema v3: the pipelined-detection sections are gone for good, and
-    // without --compiled/--compressed neither additive section appears.
-    for key in ["pipeline", "pipeline_sharded", "compiled", "compressed"] {
-        assert!(report.get(key).is_none(), "unexpected section `{key}`");
-    }
 }
 
 #[test]

@@ -34,10 +34,8 @@
 pub mod ast;
 pub mod compile;
 pub mod event;
-pub mod fingerprint;
 pub mod interp;
 pub mod lexer;
-pub mod mutate;
 pub mod parser;
 pub mod pretty;
 mod sym;
@@ -52,14 +50,10 @@ pub use event::{
     ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, NullSink, ObjId, RecordingSink,
     MAX_ARRAY_LEN, MAX_FIELDS, MAX_THREADS,
 };
-pub use fingerprint::{
-    fingerprint_block, fingerprint_body, fingerprint_method, FINGERPRINT_VERSION,
-};
 pub use interp::{
     eval, Env, Heap, Interp, ProgramIndex, RunOutcome, RuntimeError, SchedPolicy, SymHasher, Value,
 };
 pub use lexer::{tokenize, LexError, Token};
-pub use mutate::{mutate, site_count, MutationKind};
 pub use parser::{parse_expr, parse_program, ParseError};
 pub use pretty::{pretty, pretty_check_path, pretty_expr, pretty_stmt};
 pub use sym::Sym;

@@ -8,10 +8,9 @@
 
 use crate::facts::{APath, Anticipated, History, PathFact};
 use crate::killset::KillSets;
-use crate::readset::FactView;
-use bigfoot_bfj::{AccessKind, Block, Expr, Stmt, StmtId, StmtKind};
+use bigfoot_bfj::{AccessKind, Block, Expr, Stmt, StmtId, StmtKind, Sym};
 use bigfoot_entail::{linearize, SymRange, Verdicts};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum greatest-fixed-point iterations for loop anticipation.
 const MAX_LOOP_ITERS: usize = 8;
@@ -27,8 +26,8 @@ pub struct ATables {
     pub loop_head: HashMap<StmtId, Anticipated>,
 }
 
-/// Runs the backward pass over a method body, with a verdict cache of its
-/// own.
+/// Runs the backward pass over a method body, answering entailment queries
+/// through the analysis run's shared `verdicts`.
 ///
 /// `h_pre` gives the history (bool/alias facts) before each statement,
 /// from the forward pre-pass; it sharpens the entailment used when merging
@@ -36,28 +35,13 @@ pub struct ATables {
 pub fn anticipate_body(
     body: &Block,
     kills: &KillSets,
-    volatiles: &std::collections::HashSet<bigfoot_bfj::Sym>,
-    h_pre: &HashMap<StmtId, History>,
-) -> ATables {
-    anticipate_body_view(
-        body,
-        FactView::new(kills, volatiles),
-        h_pre,
-        &Verdicts::new(),
-    )
-}
-
-/// [`anticipate_body`] over a [`FactView`], which may log every
-/// cross-method fact query into a read-set for incremental re-analysis,
-/// answering entailment queries through the run's shared `verdicts`.
-pub fn anticipate_body_view(
-    body: &Block,
-    facts: FactView<'_>,
+    volatiles: &HashSet<Sym>,
     h_pre: &HashMap<StmtId, History>,
     verdicts: &Verdicts,
 ) -> ATables {
     let mut bw = BackwardPass {
-        facts,
+        kills,
+        volatiles,
         h_pre,
         verdicts,
         tables: ATables::default(),
@@ -68,7 +52,8 @@ pub fn anticipate_body_view(
 }
 
 struct BackwardPass<'a> {
-    facts: FactView<'a>,
+    kills: &'a KillSets,
+    volatiles: &'a HashSet<Sym>,
     h_pre: &'a HashMap<StmtId, History>,
     verdicts: &'a Verdicts,
     tables: ATables,
@@ -110,7 +95,7 @@ impl BackwardPass<'_> {
                 a
             }
             StmtKind::ReadField { x, obj, field } => {
-                if self.facts.is_volatile(*field) {
+                if self.volatiles.contains(field) {
                     // Acquire-like: kills all anticipation.
                     return Anticipated::new();
                 }
@@ -125,7 +110,7 @@ impl BackwardPass<'_> {
                 a
             }
             StmtKind::WriteField { obj, field, .. } => {
-                if self.facts.is_volatile(*field) {
+                if self.volatiles.contains(field) {
                     // Release-like: anticipation flows through unchanged,
                     // but the volatile access itself is never anticipated.
                     return a;
@@ -176,7 +161,7 @@ impl BackwardPass<'_> {
                 a
             }
             StmtKind::Call { x, meth, .. } => {
-                if self.facts.effects(*meth).acquires {
+                if self.kills.effects(*meth).acquires {
                     Anticipated::new()
                 } else {
                     a.kill_var(*x);
@@ -380,7 +365,7 @@ mod tests {
         let body = p.main.clone();
         let kills = KillSets::compute(&p);
         let volatiles = crate::killset::volatile_fields(&p);
-        let tables = anticipate_body(&body, &kills, &volatiles, &HashMap::new());
+        let tables = anticipate_body(&body, &kills, &volatiles, &HashMap::new(), &Verdicts::new());
         (body, tables)
     }
 

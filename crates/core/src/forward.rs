@@ -18,7 +18,6 @@
 use crate::backward::ATables;
 use crate::facts::{APath, Anticipated, History, PathFact};
 use crate::killset::KillSets;
-use crate::readset::FactView;
 use bigfoot_bfj::{AccessKind, Binop, Block, Expr, Stmt, StmtId, StmtKind, Sym, Unop};
 use bigfoot_entail::{linearize, AliasRhs, Lin, SymRange, Verdicts};
 use std::collections::{HashMap, HashSet};
@@ -55,39 +54,21 @@ impl Default for PlacementOptions {
     }
 }
 
-/// Runs the forward pass with default [`PlacementOptions`] and a verdict
-/// cache of its own. With `at = None` this is the recording pre-pass; with
-/// anticipated tables it is the placement pass. Returns the rewritten body
-/// and the tables.
+/// Runs the forward pass over a method body, answering entailment queries
+/// through the analysis run's shared `verdicts`. With `at = None` this is
+/// the recording pre-pass; with anticipated tables it is the placement
+/// pass. Returns the rewritten body and the tables.
 pub fn forward_pass(
     body: &Block,
     kills: &KillSets,
     volatiles: &HashSet<Sym>,
     at: Option<&ATables>,
-) -> (Block, ForwardTables) {
-    let facts = FactView::new(kills, volatiles);
-    forward_pass_view(
-        body,
-        facts,
-        at,
-        PlacementOptions::default(),
-        &Verdicts::new(),
-    )
-}
-
-/// [`forward_pass`] over a [`FactView`], which may log every cross-method
-/// fact query into a read-set for incremental re-analysis, with explicit
-/// [`PlacementOptions`], answering entailment queries through the
-/// analysis run's shared `verdicts`.
-pub fn forward_pass_view(
-    body: &Block,
-    facts: FactView<'_>,
-    at: Option<&ATables>,
     opts: PlacementOptions,
     verdicts: &Verdicts,
 ) -> (Block, ForwardTables) {
     let mut f = Fwd {
-        facts,
+        kills,
+        volatiles,
         at,
         opts,
         verdicts,
@@ -101,7 +82,8 @@ pub fn forward_pass_view(
 }
 
 struct Fwd<'a> {
-    facts: FactView<'a>,
+    kills: &'a KillSets,
+    volatiles: &'a HashSet<Sym>,
     at: Option<&'a ATables>,
     opts: PlacementOptions,
     verdicts: &'a Verdicts,
@@ -245,7 +227,7 @@ impl Fwd<'_> {
                 h
             }
             StmtKind::ReadField { x, obj, field } => {
-                if self.facts.is_volatile(*field) {
+                if self.volatiles.contains(field) {
                     // Volatile read: acquire-like synchronization; the
                     // access itself is not race-checked (§5).
                     let facts = self.pending(&h, None, None);
@@ -276,7 +258,7 @@ impl Fwd<'_> {
                 h
             }
             StmtKind::WriteField { obj, field, src } => {
-                if self.facts.is_volatile(*field) {
+                if self.volatiles.contains(field) {
                     // Volatile write: release-like synchronization.
                     let a = self.a_post(s.id);
                     let facts = self.pending(&h, None, Some(&a));
@@ -401,7 +383,7 @@ impl Fwd<'_> {
                 h
             }
             StmtKind::Call { x, meth, .. } => {
-                let eff = self.facts.effects(*meth);
+                let eff = self.kills.effects(*meth);
                 if eff.acquires {
                     let facts = self.pending(&h, None, None);
                     self.emit(&mut h, &facts, out);
@@ -546,7 +528,7 @@ impl Fwd<'_> {
             }
             return inv;
         }
-        let body_eff = body_effects(head, tail, self.facts);
+        let body_eff = body_effects(head, tail, self.kills);
         let mut inv = History::new();
         // Loop-invariant entry facts.
         for b in &h_in.bools {
@@ -794,14 +776,14 @@ struct BodyEffects {
     written_fields: HashSet<Sym>,
 }
 
-fn body_effects(head: &Block, tail: &Block, facts: FactView<'_>) -> BodyEffects {
+fn body_effects(head: &Block, tail: &Block, kills: &KillSets) -> BodyEffects {
     let mut eff = BodyEffects {
         releases: false,
         kills_aliases: false,
         writes_arrays: false,
         written_fields: HashSet::new(),
     };
-    fn walk(b: &Block, eff: &mut BodyEffects, facts: FactView<'_>) {
+    fn walk(b: &Block, eff: &mut BodyEffects, kills: &KillSets) {
         for s in &b.stmts {
             match &s.kind {
                 StmtKind::Release { .. } | StmtKind::Fork { .. } => eff.releases = true,
@@ -815,7 +797,7 @@ fn body_effects(head: &Block, tail: &Block, facts: FactView<'_>) -> BodyEffects 
                     eff.written_fields.insert(*field);
                 }
                 StmtKind::Call { meth, .. } => {
-                    let e = facts.effects(*meth);
+                    let e = kills.effects(*meth);
                     if e.releases {
                         eff.releases = true;
                     }
@@ -827,19 +809,19 @@ fn body_effects(head: &Block, tail: &Block, facts: FactView<'_>) -> BodyEffects 
                     }
                 }
                 StmtKind::If { then_b, else_b, .. } => {
-                    walk(then_b, eff, facts);
-                    walk(else_b, eff, facts);
+                    walk(then_b, eff, kills);
+                    walk(else_b, eff, kills);
                 }
                 StmtKind::Loop { head, tail, .. } => {
-                    walk(head, eff, facts);
-                    walk(tail, eff, facts);
+                    walk(head, eff, kills);
+                    walk(tail, eff, kills);
                 }
                 _ => {}
             }
         }
     }
-    walk(head, &mut eff, facts);
-    walk(tail, &mut eff, facts);
+    walk(head, &mut eff, kills);
+    walk(tail, &mut eff, kills);
     eff
 }
 

@@ -59,49 +59,22 @@ pub struct KillSets {
     by_method: HashMap<Sym, Effects>,
 }
 
-/// The scan result for one method body: its *direct* effects (before
-/// call propagation) and the names it calls. Cached per body
-/// fingerprint by the incremental driver, so warm runs rescan only
-/// edited bodies and rerun just the (cheap) name-level fixpoint — the
-/// "recompute the cross-method fixpoint only over the dirtied
-/// dependency cone" half of incremental re-analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KillSummary {
-    /// Effects the body performs itself.
-    pub direct: Effects,
-    /// Names of methods called (duplicates preserved; harmless to join).
-    pub callees: Vec<Sym>,
-}
-
-/// Scans one method body into a [`KillSummary`]. `volatiles` must be the
-/// program-wide volatile field set (a volatile read is acquire-like).
-pub fn scan_method_body(body: &[Stmt], volatiles: &HashSet<Sym>) -> KillSummary {
-    let mut summary = KillSummary::default();
-    scan_block(body, &mut summary.direct, &mut summary.callees, volatiles);
-    summary
-}
-
 impl KillSets {
     /// Computes effect summaries by fixed point over the name-based call
     /// graph.
     pub fn compute(program: &Program) -> KillSets {
         let volatiles = volatile_fields(program);
-        KillSets::from_summaries(
-            program
-                .methods()
-                .map(|(_, m)| (m.name, scan_method_body(&m.body.stmts, &volatiles))),
-        )
-    }
-
-    /// Builds kill sets from per-method scan summaries (joined across
-    /// classes sharing a name) by running the name-level fixed point.
-    pub fn from_summaries(summaries: impl IntoIterator<Item = (Sym, KillSummary)>) -> KillSets {
+        // Direct effects + called names per method name (joined across
+        // classes sharing the name).
         let mut direct: HashMap<Sym, Effects> = HashMap::new();
         let mut calls: HashMap<Sym, Vec<Sym>> = HashMap::new();
-        for (name, summary) in summaries {
-            let entry = direct.entry(name).or_default();
-            *entry = entry.join(summary.direct);
-            calls.entry(name).or_default().extend(summary.callees);
+        for (_, m) in program.methods() {
+            scan_block(
+                &m.body.stmts,
+                direct.entry(m.name).or_default(),
+                calls.entry(m.name).or_default(),
+                &volatiles,
+            );
         }
         // Fixed point.
         let mut by_method = direct.clone();

@@ -51,7 +51,6 @@
 //! ```
 
 mod backward;
-mod cache;
 mod cleanup;
 mod coalesce;
 mod facts;
@@ -59,23 +58,20 @@ mod forward;
 mod killset;
 mod pipeline;
 mod proxy;
-mod readset;
 mod redcard;
 mod rename;
 
-pub use backward::{anticipate_body, anticipate_body_view, ATables};
-pub use cache::{CacheEntry, CacheError, PlacementCache, CACHE_FILE, CACHE_MAGIC, CACHE_VERSION};
+pub use backward::{anticipate_body, ATables};
 pub use cleanup::{cleanup_body, cleanup_program};
 pub use coalesce::{emit_check, emit_check_opts};
 pub use facts::{path_subsumes, APath, Anticipated, History, PathFact};
-pub use forward::{forward_pass, forward_pass_view, ForwardTables, PlacementOptions};
-pub use killset::{scan_method_body, volatile_fields, Effects, KillSets, KillSummary};
+pub use forward::{forward_pass, ForwardTables, PlacementOptions};
+pub use killset::{volatile_fields, Effects, KillSets};
 pub use pipeline::{
-    config_fingerprint, count_checks, instrument, instrument_incremental, instrument_with,
-    naive_instrument, AnalysisStats, IncrementalStats, InstrumentOptions, Instrumented,
+    count_checks, instrument, instrument_with, naive_instrument, AnalysisStats, InstrumentOptions,
+    Instrumented,
 };
 pub use proxy::{field_proxies, grouping_from_sets};
-pub use readset::{FactView, ReadSet, READSET_VERSION};
 pub use redcard::redcard_instrument;
 pub use rename::freshen_body;
 

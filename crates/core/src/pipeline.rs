@@ -1,21 +1,15 @@
 //! The end-to-end S TATIC BF pipeline: freshen → forward pre-pass →
 //! backward anticipation → placement → cleanup → field-proxy analysis.
 
-use crate::backward::anticipate_body_view;
-use crate::cache::{CacheEntry, PlacementCache, CACHE_VERSION};
+use crate::backward::anticipate_body;
 use crate::cleanup::cleanup_program;
-use crate::forward::{forward_pass_view, PlacementOptions};
-use crate::killset::{scan_method_body, volatile_fields, KillSets, KillSummary};
+use crate::forward::{forward_pass, PlacementOptions};
+use crate::killset::{volatile_fields, KillSets};
 use crate::proxy::field_proxies;
-use crate::readset::{FactView, ReadSet, READSET_VERSION};
 use crate::rename::freshen_body;
-use bigfoot_bfj::{AccessKind, Block, CheckPath, Program, Stmt, StmtKind, Sym};
+use bigfoot_bfj::{AccessKind, Block, CheckPath, Program, Stmt, StmtKind};
 use bigfoot_detectors::ProxyTable;
 use bigfoot_entail::Verdicts;
-use bigfoot_obs::stable::{StableHasher, STABLE_HASH_VERSION};
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::path::Path as FsPath;
 use std::time::{Duration, Instant};
 
 /// Timing and size statistics for one static-analysis run (the data
@@ -108,7 +102,20 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
     let _span_total = bigfoot_obs::span!("static.instrument");
     let t_start = Instant::now();
     let mut out = p.clone();
-    freshen_program(&mut out);
+    {
+        let _span = bigfoot_obs::span!("static.freshen");
+        // Freshen every body first, then renumber so statement ids are
+        // program-unique (the analysis tables are keyed by them).
+        for c in &mut out.classes {
+            for m in &mut c.methods {
+                freshen_body(&mut m.body, &m.params);
+            }
+        }
+        let mut main = std::mem::take(&mut out.main);
+        freshen_body(&mut main, &[]);
+        out.main = main;
+        out.renumber();
+    }
 
     let kills = {
         let _span = bigfoot_obs::span!("static.killsets");
@@ -127,17 +134,22 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
     let analyze = |body: &Block, kills: &KillSets| -> (Block, Duration) {
         let _span = bigfoot_obs::span!("static.method");
         let t0 = Instant::now();
-        let view = FactView::new(kills, &volatiles);
         let at = if options.anticipation {
             let _span = bigfoot_obs::span!("static.backward");
-            let (_, tables) = forward_pass_view(body, view, None, popts, &verdicts);
-            Some(anticipate_body_view(body, view, &tables.h_pre, &verdicts))
+            let (_, tables) = forward_pass(body, kills, &volatiles, None, popts, &verdicts);
+            Some(anticipate_body(
+                body,
+                kills,
+                &volatiles,
+                &tables.h_pre,
+                &verdicts,
+            ))
         } else {
             None
         };
         let placed = {
             let _span = bigfoot_obs::span!("static.forward");
-            let (placed, _) = forward_pass_view(body, view, at.as_ref(), popts, &verdicts);
+            let (placed, _) = forward_pass(body, kills, &volatiles, at.as_ref(), popts, &verdicts);
             placed
         };
         (placed, t0.elapsed())
@@ -184,300 +196,6 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
         proxies,
         stats,
     }
-}
-
-/// Freshens every body and renumbers so statement ids are program-unique
-/// (the analysis tables are keyed by them). Deterministic, so cold and
-/// warm runs see identical freshened programs.
-fn freshen_program(out: &mut Program) {
-    let _span = bigfoot_obs::span!("static.freshen");
-    for c in &mut out.classes {
-        for m in &mut c.methods {
-            freshen_body(&mut m.body, &m.params);
-        }
-    }
-    let mut main = std::mem::take(&mut out.main);
-    freshen_body(&mut main, &[]);
-    out.main = main;
-    out.renumber();
-}
-
-/// Version of the placement pipeline's observable output (freshening,
-/// pass order, cleanup). Folded into [`config_fingerprint`]; bump when a
-/// pipeline change can alter placements for an unchanged input.
-const PLACEMENT_VERSION: u32 = 1;
-
-/// Stable fingerprint of everything configuration-shaped that placement
-/// output depends on: the [`InstrumentOptions`] knobs plus the version
-/// constants of every analysis layer (entailment semantics included). A
-/// persistent cache whose `config_fp` differs is ignored wholesale.
-pub fn config_fingerprint(options: InstrumentOptions) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u32(STABLE_HASH_VERSION);
-    h.write_u32(CACHE_VERSION);
-    h.write_u32(bigfoot_bfj::FINGERPRINT_VERSION);
-    h.write_u32(READSET_VERSION);
-    h.write_u32(bigfoot_entail::ENTAIL_VERSION);
-    h.write_u32(PLACEMENT_VERSION);
-    h.write_bool(options.anticipation);
-    h.write_bool(options.coalescing);
-    h.write_bool(options.loop_invariants);
-    h.write_bool(options.field_proxies);
-    h.finish()
-}
-
-fn volatiles_fingerprint(volatiles: &HashSet<Sym>) -> u64 {
-    let mut names: Vec<&'static str> = volatiles.iter().map(|s| s.as_str()).collect();
-    names.sort_unstable();
-    let mut h = StableHasher::new();
-    h.write_u32(STABLE_HASH_VERSION);
-    h.write_usize(names.len());
-    for n in names {
-        h.write_str(n);
-    }
-    h.finish()
-}
-
-/// Cache behavior observed during one [`instrument_incremental`] run.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalStats {
-    /// Sites whose cached placement was replayed (analysis skipped).
-    pub hits: usize,
-    /// Sites analyzed from scratch.
-    pub misses: usize,
-    /// A cache file existed but was malformed (typed decode error); the
-    /// run fell back to cold analysis.
-    pub cache_invalid: bool,
-    /// A decodable cache with a matching analysis config was found.
-    pub warm: bool,
-}
-
-impl IncrementalStats {
-    /// Fraction of sites skipped: `hits / (hits + misses)`.
-    pub fn skip_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One analyzable site of the program: a class method or `main`.
-struct Site {
-    /// Cache key: `"Class.method#ordinal"` (ordinal among same-named
-    /// methods of the class, so inserting an unrelated method does not
-    /// shift other keys), or `"main"`.
-    key: String,
-    /// Human name for [`AnalysisStats::per_method`].
-    label: String,
-    /// Bare method name (kill sets are name-keyed); `"main"` for main.
-    method_name: Sym,
-    /// `Some((class_idx, method_idx))`, or `None` for main.
-    loc: Option<(usize, usize)>,
-    /// Structural fingerprint of the freshened body.
-    body_fp: u64,
-}
-
-fn sites_of(out: &Program) -> Vec<Site> {
-    let mut sites = Vec::new();
-    for (ci, c) in out.classes.iter().enumerate() {
-        for (mi, m) in c.methods.iter().enumerate() {
-            let ordinal = c.methods[..mi].iter().filter(|o| o.name == m.name).count();
-            sites.push(Site {
-                key: format!("{}.{}#{}", c.name, m.name, ordinal),
-                label: format!("{}.{}", c.name, m.name),
-                method_name: m.name,
-                loc: Some((ci, mi)),
-                body_fp: bigfoot_bfj::fingerprint_body(&m.params, &m.body, &m.ret),
-            });
-        }
-    }
-    sites.push(Site {
-        key: "main".to_owned(),
-        label: "main".to_owned(),
-        method_name: Sym::intern("main"),
-        loc: None,
-        body_fp: bigfoot_bfj::fingerprint_block(&out.main),
-    });
-    sites
-}
-
-/// [`instrument_with`] plus a persistent per-method placement cache in
-/// `cache_dir` (the `.bigfoot-cache/` layout).
-///
-/// A cold run (no cache, malformed cache, or changed analysis config)
-/// behaves exactly like [`instrument_with`] while recording, per method,
-/// the body fingerprint, the cross-method fact read-set, the kill-scan
-/// summary, and the placed body. A warm run replays cached placements
-/// for every site whose body fingerprint and fact read-set digest still
-/// match, re-analyzes only the rest, and rebuilds the kill-set fixpoint
-/// from cached scan summaries (rescanning only edited bodies) — so the
-/// cross-method fixpoint is recomputed only over the dirtied dependency
-/// cone. The instrumented output is byte-identical to a cold run.
-pub fn instrument_incremental(
-    p: &Program,
-    options: InstrumentOptions,
-    cache_dir: &FsPath,
-) -> (Instrumented, IncrementalStats) {
-    let _span_total = bigfoot_obs::span!("static.instrument");
-    let t_start = Instant::now();
-    let config_fp = config_fingerprint(options);
-    let mut inc = IncrementalStats::default();
-
-    let cache = match PlacementCache::load(cache_dir) {
-        Ok(Some(c)) if c.config_fp == config_fp => {
-            inc.warm = true;
-            Some(c)
-        }
-        // A cache from a different analysis config is not *invalid*,
-        // just unusable for this run; overwrite it below.
-        Ok(Some(_)) | Ok(None) => None,
-        Err(_) => {
-            inc.cache_invalid = true;
-            bigfoot_obs::count!("static.cache.invalid");
-            None
-        }
-    };
-
-    let mut out = p.clone();
-    freshen_program(&mut out);
-
-    let volatiles = volatile_fields(&out);
-    let volatiles_fp = volatiles_fingerprint(&volatiles);
-    let sites = sites_of(&out);
-
-    // Kill sets: rescan only bodies whose fingerprint changed (or all,
-    // when the volatile set — which scanning depends on — changed).
-    let kills = {
-        let _span = bigfoot_obs::span!("static.killsets");
-        let kill_reusable = cache
-            .as_ref()
-            .map(|c| c.volatiles_fp == volatiles_fp)
-            .unwrap_or(false);
-        let summaries: Vec<(Sym, KillSummary)> = sites
-            .iter()
-            .filter_map(|site| {
-                let (ci, mi) = site.loc?;
-                let cached = if kill_reusable {
-                    cache.as_ref().and_then(|c| {
-                        let e = c.entries.get(&site.key)?;
-                        (e.body_fp == site.body_fp).then(|| e.kill.clone())
-                    })
-                } else {
-                    None
-                };
-                let summary = cached.unwrap_or_else(|| {
-                    scan_method_body(&out.classes[ci].methods[mi].body.stmts, &volatiles)
-                });
-                Some((site.method_name, summary))
-            })
-            .collect();
-        KillSets::from_summaries(summaries)
-    };
-
-    let popts = PlacementOptions {
-        coalescing: options.coalescing,
-        loop_invariants: options.loop_invariants,
-    };
-    let mut stats = AnalysisStats::default();
-    let mut new_entries = std::collections::BTreeMap::new();
-    // One verdict cache for the whole run, dropped when it returns.
-    let verdicts = Verdicts::new();
-
-    for site in &sites {
-        let body = match site.loc {
-            Some((ci, mi)) => std::mem::take(&mut out.classes[ci].methods[mi].body),
-            None => std::mem::take(&mut out.main),
-        };
-        let t0 = Instant::now();
-        let hit = cache.as_ref().and_then(|c| {
-            let e = c.entries.get(&site.key)?;
-            (e.body_fp == site.body_fp
-                && e.readset.fingerprint_against(&kills, &volatiles) == e.facts_fp)
-                .then_some(e)
-        });
-        let (placed, entry) = match hit {
-            Some(e) => {
-                bigfoot_obs::count!("static.cache.hits");
-                inc.hits += 1;
-                (e.placed.clone(), e.clone())
-            }
-            None => {
-                bigfoot_obs::count!("static.cache.misses");
-                inc.misses += 1;
-                let _span = bigfoot_obs::span!("static.method");
-                let log = RefCell::new(ReadSet::default());
-                let view = FactView::tracked(&kills, &volatiles, &log);
-                let at = if options.anticipation {
-                    let _span = bigfoot_obs::span!("static.backward");
-                    let (_, tables) = forward_pass_view(&body, view, None, popts, &verdicts);
-                    Some(anticipate_body_view(&body, view, &tables.h_pre, &verdicts))
-                } else {
-                    None
-                };
-                let placed = {
-                    let _span = bigfoot_obs::span!("static.forward");
-                    let (placed, _) = forward_pass_view(&body, view, at.as_ref(), popts, &verdicts);
-                    placed
-                };
-                let readset = log.into_inner();
-                let facts_fp = readset.fingerprint();
-                let kill = scan_method_body(&body.stmts, &volatiles);
-                let entry = CacheEntry {
-                    method_name: site.method_name.as_str(),
-                    body_fp: site.body_fp,
-                    facts_fp,
-                    readset,
-                    kill,
-                    placed: placed.clone(),
-                };
-                (placed, entry)
-            }
-        };
-        match site.loc {
-            Some((ci, mi)) => out.classes[ci].methods[mi].body = placed,
-            None => out.main = placed,
-        }
-        new_entries.insert(site.key.clone(), entry);
-        stats.per_method.push((site.label.clone(), t0.elapsed()));
-        stats.methods += 1;
-        bigfoot_obs::trace_counter!("static.methods_done", stats.methods);
-    }
-    bigfoot_obs::gauge_max_named("static.incremental.skipped_methods", inc.hits as u64);
-
-    {
-        let _span = bigfoot_obs::span!("static.cleanup");
-        cleanup_program(&mut out);
-    }
-    stats.checks_inserted = count_checks(&out);
-    stats.total_time = t_start.elapsed();
-    let proxies = if options.field_proxies {
-        let _span = bigfoot_obs::span!("static.proxy");
-        field_proxies(&out)
-    } else {
-        bigfoot_detectors::ProxyTable::identity()
-    };
-    bigfoot_obs::count!("static.methods", stats.methods);
-    bigfoot_obs::count!("static.checks_inserted", stats.checks_inserted);
-
-    // Best-effort persist; a read-only cache dir degrades to cold runs.
-    let _ = PlacementCache {
-        config_fp,
-        volatiles_fp,
-        entries: new_entries,
-    }
-    .store(cache_dir);
-
-    (
-        Instrumented {
-            program: out,
-            proxies,
-            stats,
-        },
-        inc,
-    )
 }
 
 /// Instruments every access with an adjacent check (the unoptimized

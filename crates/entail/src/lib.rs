@@ -54,12 +54,3 @@ mod range;
 pub use kb::{AliasRhs, Kb, Verdicts};
 pub use lin::{linearize, Atom, Lin};
 pub use range::{coalesce, covered_by_union, subsumes, SymRange};
-
-/// Version of the entailment engine's observable behavior (KB fact
-/// handling, linearization, range subsumption). Persistent placement
-/// caches fold this into their analysis-config fingerprint so entries
-/// computed under older entailment semantics are invalidated rather than
-/// replayed: every KB/alias fact a placement depends on is derived
-/// per-method through this engine, so a behavior change here is a fact
-/// change everywhere. Bump on any change to query results.
-pub const ENTAIL_VERSION: u32 = 2;

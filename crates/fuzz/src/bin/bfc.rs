@@ -2,9 +2,6 @@
 //!
 //! ```text
 //! bfc instrument <file.bfj> [--mode bigfoot|redcard|naive]
-//! bfc analyze <file.bfj> [--incremental [--cache-dir DIR]] [--out FILE] [--json]
-//! bfc mutate <file.bfj> [--site N] [--kind arith|field-write|lock]
-//!                       [--salt K] [--out FILE] [--json]
 //! bfc check <file.bfj> [--detector bigfoot|fasttrack|redcard|slimstate|slimcard|djit]
 //!                      [--seed N] [--schedules N] [--replay-workers N] [--compiled]
 //!                      [--record-out FILE [--compress-trace]] [--json]
@@ -20,18 +17,6 @@
 //! ```
 //!
 //! * `instrument` prints the instrumented program.
-//! * `analyze` runs the static analysis and reports the placement: the
-//!   stable per-site body fingerprints, the number of checks inserted,
-//!   and — with `--incremental` — the persistent placement cache's
-//!   hit/miss/skip accounting against `--cache-dir` (default
-//!   `.bigfoot-cache`). `--out FILE` writes the instrumented program, so
-//!   two invocations can be diffed for byte-identity. Fingerprints are
-//!   process-independent: running `analyze` twice in separate processes
-//!   prints the same digests.
-//! * `mutate` applies one deterministic source edit (the incremental
-//!   pipeline's differential-test mutations) to the `--site`-th method
-//!   and prints the edited program — the driver for cold/warm cache
-//!   experiments from the shell.
 //! * `check` executes the program under a detector (optionally across
 //!   several random schedules) and reports any data races. With
 //!   `--replay-workers N` the run is recorded to an in-memory trace and
@@ -70,26 +55,25 @@
 //! * `fuzz` runs the differential fuzzing campaign: each seed in the
 //!   range becomes a random program + schedule cross-checked between the
 //!   unoptimized and BigFoot-optimized placements, the interpreted and
-//!   compiled execution tiers, cold and warm incremental re-analysis,
-//!   serial and sharded replay, raw and compressed traces, and the trace
-//!   codec round-trip. Divergences are
-//!   shrunk to minimal reproducers and written to the corpus directory; the exit
-//!   code is non-zero if any were found.
+//!   compiled execution tiers, serial and sharded replay, raw and
+//!   compressed traces, and the trace codec round-trip. Divergences are
+//!   shrunk to minimal reproducers and written to the corpus directory;
+//!   the exit code is non-zero if any were found.
 //! * `--json` on `check`, `stats`, `profile`, and `fuzz` emits a
 //!   machine-readable report with a stable schema (see
 //!   `docs/OBSERVABILITY.md`).
+//!
+//! The command comes first; each command accepts only the flags listed
+//! for it above, and any other flag is a usage error.
 //!
 //! Exit codes: 0 success (no races), 1 races found or a failed profiled
 //! run or fuzz divergence, 2 any error. Only a wrong command line prints
 //! the usage banner; other errors print just the message.
 
-use bigfoot::{
-    instrument, instrument_incremental, naive_instrument, redcard_instrument, InstrumentOptions,
-};
+use bigfoot::{instrument, naive_instrument, redcard_instrument};
 use bigfoot_bfj::{
-    compile, compress, decompress, fingerprint_block, fingerprint_method, is_compressed,
-    mutate as mutate_site, parse_program, pretty, site_count, trace::TraceWriter, CompiledVm,
-    CompressedTraceWriter, EventSink, Interp, MutationKind, NullSink, Program, RunOutcome,
+    compile, compress, decompress, is_compressed, parse_program, pretty, trace::TraceWriter,
+    CompiledVm, CompressedTraceWriter, EventSink, Interp, NullSink, Program, RunOutcome,
     RuntimeError, SchedPolicy, Tid, Value,
 };
 use bigfoot_detectors::{
@@ -127,7 +111,9 @@ macro_rules! outp {
 /// v2: `metrics.timers.*` carry `p50`/`p90`/`p99` percentile fields and
 /// the snapshot gained a `gauges` section (`pipeline.depth_max` moved
 /// there from `counters`).
-const SCHEMA_VERSION: u64 = 2;
+/// v3: `fuzz`'s `oracle_runs` lost `incremental`, and the `analyze` and
+/// `mutate` commands (with their reports) are gone.
+const SCHEMA_VERSION: u64 = 3;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,13 +128,6 @@ fn main() -> ExitCode {
             eprintln!();
             eprintln!("usage:");
             eprintln!("  bfc instrument <file.bfj> [--mode bigfoot|redcard|naive]");
-            eprintln!(
-                "  bfc analyze <file.bfj> [--incremental [--cache-dir DIR]] [--out FILE] [--json]"
-            );
-            eprintln!(
-                "  bfc mutate <file.bfj> [--site N] [--kind arith|field-write|lock] [--salt K] \
-                 [--out FILE] [--json]"
-            );
             eprintln!(
                 "  bfc check <file.bfj> [--detector NAME] [--seed N] [--schedules N] \
                  [--replay-workers N] [--compiled] [--record-out FILE [--compress-trace]] \
@@ -189,25 +168,6 @@ fn load(path: &str) -> Result<Program, CliError> {
     parse_program(&src).map_err(|e| failed(format!("{path}: {e}")))
 }
 
-/// Stable per-site fingerprints for `bfc analyze`: every class method
-/// (keyed `Class.method#ordinal`, matching the placement cache) plus
-/// `main`. The digests come from `bigfoot-bfj`'s structural hasher, so
-/// they are identical across processes and machines.
-fn site_fingerprints(p: &Program) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for c in &p.classes {
-        for (mi, m) in c.methods.iter().enumerate() {
-            let ordinal = c.methods[..mi].iter().filter(|o| o.name == m.name).count();
-            out.push((
-                format!("{}.{}#{}", c.name, m.name, ordinal),
-                fingerprint_method(m),
-            ));
-        }
-    }
-    out.push(("main".to_owned(), fingerprint_block(&p.main)));
-    out
-}
-
 /// The common envelope of every `bfc --json` report.
 fn envelope(command: &str, file: &str) -> Json {
     let mut out = Json::object();
@@ -229,43 +189,51 @@ fn races_json(stats: &Stats) -> Json {
     races
 }
 
+/// The value flags and switches each command reads. Parsing a command
+/// against its own lists makes a flag it would ignore a usage error.
+fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "instrument" => (&["--mode"], &[]),
+        "check" => (
+            &[
+                "--detector",
+                "--seed",
+                "--schedules",
+                "--replay-workers",
+                "--record-out",
+                "--trace-out",
+            ],
+            &["--json", "--compiled", "--compress-trace"],
+        ),
+        "run" | "compress" | "decompress" => (&[], &[]),
+        "stats" => (&[], &["--json"]),
+        "trace" => (&["--seed", "--limit"], &[]),
+        "profile" => (
+            &[
+                "--detector",
+                "--replay-workers",
+                "--record-out",
+                "--trace-out",
+            ],
+            &["--json", "--compiled", "--compress-trace"],
+        ),
+        "replay" => (&["--detector", "--replay-workers"], &["--json"]),
+        "fuzz" => (&["--seed-range", "--budget", "--corpus"], &["--json"]),
+        _ => return None,
+    })
+}
+
 fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let args = CliArgs::parse(
-        args,
-        &[
-            "--mode",
-            "--detector",
-            "--seed",
-            "--schedules",
-            "--limit",
-            "--replay-workers",
-            "--seed-range",
-            "--budget",
-            "--corpus",
-            "--trace-out",
-            "--record-out",
-            "--cache-dir",
-            "--site",
-            "--kind",
-            "--salt",
-            "--out",
-        ],
-        &["--json", "--compiled", "--compress-trace", "--incremental"],
-    )?;
-    let cmd = args.positional(0).ok_or("missing command")?.to_owned();
+    let cmd = args.first().ok_or("missing command")?.clone();
+    let (value_flags, switch_flags) =
+        command_flags(&cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let args = CliArgs::parse(args, value_flags, switch_flags)?;
     if cmd == "fuzz" {
         return fuzz_cmd(&args);
     }
     // Trace-file commands take a recorded trace, not a `.bfj` program.
     if matches!(cmd.as_str(), "replay" | "compress" | "decompress") {
         return trace_file_cmd(&cmd, &args);
-    }
-    // Reject an unknown command before touching its file argument.
-    if !matches!(
-        cmd.as_str(),
-        "instrument" | "analyze" | "mutate" | "check" | "run" | "stats" | "trace" | "profile"
-    ) {
-        return Err(format!("unknown command `{cmd}`").into());
     }
     let file = args.positional(1).ok_or("missing input file")?.to_owned();
     let program = load(&file)?;
@@ -279,116 +247,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 _ => instrument(&program).program,
             };
             outp!("{}", pretty(&out));
-            Ok(ExitCode::SUCCESS)
-        }
-        "analyze" => {
-            let incremental = args.has("--incremental");
-            let cache_dir = args.value("--cache-dir").unwrap_or(".bigfoot-cache");
-            let out_file = args.value("--out");
-            let (inst, inc) = if incremental {
-                let (inst, stats) = instrument_incremental(
-                    &program,
-                    InstrumentOptions::default(),
-                    std::path::Path::new(cache_dir),
-                );
-                (inst, Some(stats))
-            } else {
-                (instrument(&program), None)
-            };
-            if let Some(path) = out_file {
-                write_file(path, pretty(&inst.program))?;
-            }
-            let fps = site_fingerprints(&program);
-            if json {
-                let mut report = envelope("analyze", &file);
-                report.set("incremental", incremental);
-                let mut stat = Json::object();
-                stat.set("methods", inst.stats.methods as u64);
-                stat.set("checks_inserted", inst.stats.checks_inserted as u64);
-                stat.set("total_ms", inst.stats.total_time.as_secs_f64() * 1e3);
-                report.set("static", stat);
-                if let Some(stats) = &inc {
-                    let mut c = Json::object();
-                    c.set("warm", stats.warm);
-                    c.set("hits", stats.hits as u64);
-                    c.set("misses", stats.misses as u64);
-                    c.set("invalid", stats.cache_invalid);
-                    c.set("skip_rate", stats.skip_rate());
-                    report.set("cache", c);
-                }
-                // Hex strings, not numbers: the JSON layer stores numbers
-                // as f64, which cannot carry a full 64-bit digest.
-                let mut sites = Json::array();
-                for (key, fp) in &fps {
-                    let mut s = Json::object();
-                    s.set("site", key.as_str());
-                    s.set("fingerprint", format!("{fp:016x}"));
-                    sites.push(s);
-                }
-                report.set("fingerprints", sites);
-                outln!("{}", report.to_string_pretty());
-            } else {
-                outln!(
-                    "{file}: {} site(s), {} check(s) inserted",
-                    fps.len(),
-                    inst.stats.checks_inserted
-                );
-                for (key, fp) in &fps {
-                    outln!("  {key:<32} {fp:016x}");
-                }
-                if let Some(stats) = &inc {
-                    outln!(
-                        "cache: {} — {} hit(s), {} miss(es), {:.1}% skipped{}",
-                        if stats.warm { "warm" } else { "cold" },
-                        stats.hits,
-                        stats.misses,
-                        stats.skip_rate() * 100.0,
-                        if stats.cache_invalid {
-                            " (previous cache was malformed)"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "mutate" => {
-            let site: usize = args.parsed("--site")?.unwrap_or(0);
-            let kind_name = args.one_of("--kind", &["arith", "field-write", "lock"])?;
-            let kind = match kind_name {
-                "field-write" => MutationKind::AddFieldWrite,
-                "lock" => MutationKind::AddLock,
-                _ => MutationKind::ArithTweak,
-            };
-            let salt: i64 = args.parsed("--salt")?.unwrap_or(1);
-            let mut edited = program.clone();
-            let sites = site_count(&edited);
-            let name = mutate_site(&mut edited, site, kind, salt).ok_or_else(|| {
-                format!("--site {site} out of range (program has {sites} site(s))")
-            })?;
-            let text = pretty(&edited);
-            let out_file = args.value("--out");
-            if let Some(path) = out_file {
-                write_file(path, &text)?;
-            }
-            if json {
-                let mut report = envelope("mutate", &file);
-                report.set("site", site as u64);
-                report.set("kind", kind_name);
-                report.set("salt", salt);
-                report.set("edited", name.as_str());
-                report.set("sites", sites as u64);
-                // Without --out the edited program rides in the report.
-                if out_file.is_none() {
-                    report.set("program", text.as_str());
-                }
-                outln!("{}", report.to_string_pretty());
-            } else if out_file.is_some() {
-                outln!("edited {name} ({kind_name}, salt {salt})");
-            } else {
-                outp!("{text}");
-            }
             Ok(ExitCode::SUCCESS)
         }
         "run" => {
@@ -425,6 +283,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             )?;
             let seed: u64 = args.parsed("--seed")?.unwrap_or(1);
             let schedules: u64 = args.parsed("--schedules")?.unwrap_or(1);
+            validate_schedules(seed, schedules)?;
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
             let compiled = args.has("--compiled");
             validate_workers(replay_workers)?;
@@ -806,7 +665,7 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
         outln!("{}", out.to_string_pretty());
     } else {
         outln!(
-            "fuzzed {} case(s) over seeds {}..{} in {:.1}s{} — oracles: roundtrip {}, compiled {}, placement {}, incremental {}, replay {}, compressed {}",
+            "fuzzed {} case(s) over seeds {}..{} in {:.1}s{} — oracles: roundtrip {}, compiled {}, placement {}, replay {}, compressed {}",
             report.cases,
             report.seed_lo,
             report.seed_hi,
@@ -821,7 +680,6 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
             report.oracle_runs[2],
             report.oracle_runs[3],
             report.oracle_runs[4],
-            report.oracle_runs[5],
         );
         for d in &report.divergences {
             outln!();
@@ -853,6 +711,23 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
 fn validate_workers(replay_workers: Option<usize>) -> Result<(), String> {
     if replay_workers == Some(0) {
         return Err("--replay-workers wants at least 1 worker".into());
+    }
+    Ok(())
+}
+
+/// Schedule-sweep sanity check for `check`, applied at parse time like
+/// [`validate_workers`]: a sweep of no schedules checks nothing, so it
+/// cannot report a verdict, and schedule `i` runs under seed `seed + i`,
+/// which must not overflow.
+fn validate_schedules(seed: u64, schedules: u64) -> Result<(), String> {
+    if schedules == 0 {
+        return Err("--schedules wants at least 1 schedule".into());
+    }
+    if seed.checked_add(schedules - 1).is_none() {
+        return Err(format!(
+            "--seed {seed} with --schedules {schedules} runs past the largest seed {}",
+            u64::MAX
+        ));
     }
     Ok(())
 }

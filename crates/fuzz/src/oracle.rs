@@ -1,6 +1,6 @@
 //! The differential oracles.
 //!
-//! Every case runs through six independent cross-checks, each of which
+//! Every case runs through five independent cross-checks, each of which
 //! has a ground truth the others don't:
 //!
 //! * **round-trip** — the binary trace codec must be lossless: decoding
@@ -28,21 +28,16 @@
 //!   bytes, and detection directly on the compressed form (with rule
 //!   memoization) must be byte-identical to serial detection, for both
 //!   placements at every worker count.
-//! * **incremental** — the persistent placement cache must be invisible:
-//!   a cold incremental run must equal direct instrumentation, and after
-//!   a deterministic single-method mutation (derived from the case), a
-//!   warm re-analysis replaying cached placements must be byte-identical
-//!   to a cold run of the mutated program.
 //!
 //! All oracles are deterministic functions of `(program, policy)`, which
 //! is what lets the shrinker re-validate determinism at every step.
 
-use bigfoot::{instrument, instrument_incremental, InstrumentOptions, Instrumented};
+use bigfoot::instrument;
 use bigfoot_bfj::{
-    compile, fingerprint_block, mutate, site_count,
+    compile,
     trace::{read_event, read_header},
-    CompiledVm, Event, EventSink, Interp, MutationKind, Program, RecordingSink, RunOutcome,
-    SchedPolicy, TraceWriter,
+    CompiledVm, Event, EventSink, Interp, Program, RecordingSink, RunOutcome, SchedPolicy,
+    TraceWriter,
 };
 use bigfoot_detectors::{
     replay_compressed, replay_trace, verify_precise_checks, Config, Detector, Stats,
@@ -73,9 +68,6 @@ pub enum OracleKind {
     /// Compressed-trace round trip or compressed-form detection differs
     /// from the uncompressed path.
     Compressed,
-    /// Warm incremental re-analysis (persistent placement cache) differs
-    /// from a cold run.
-    Incremental,
 }
 
 impl OracleKind {
@@ -88,7 +80,6 @@ impl OracleKind {
             OracleKind::Placement => "placement",
             OracleKind::Replay => "replay",
             OracleKind::Compressed => "compressed",
-            OracleKind::Incremental => "incremental",
         }
     }
 
@@ -101,7 +92,6 @@ impl OracleKind {
             "placement" => OracleKind::Placement,
             "replay" => OracleKind::Replay,
             "compressed" => OracleKind::Compressed,
-            "incremental" => OracleKind::Incremental,
             _ => return None,
         })
     }
@@ -463,14 +453,6 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         ));
     }
 
-    // The persistent placement cache must be invisible: cold incremental
-    // == direct instrumentation, and a warm replay after a deterministic
-    // mutation == a cold run of the mutated program, byte for byte.
-    bigfoot_obs::count!("fuzz.oracle.incremental");
-    if let Some(d) = incremental_matches(program, policy, &inst) {
-        return Some(d);
-    }
-
     bigfoot_obs::count!("fuzz.oracle.replay");
     let ft_truth = serial(&ft_events, Detector::fasttrack());
     for workers in REPLAY_WORKERS {
@@ -518,86 +500,6 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         return Some(d);
     }
 
-    None
-}
-
-/// The incremental-placement oracle: run the cold incremental pipeline
-/// into a throwaway cache, apply a single-method mutation derived
-/// deterministically from the case, then check that the warm re-analysis
-/// (replaying cached placements for clean methods) is byte-identical to
-/// a cold run of the mutated program.
-///
-/// The mutation choice is a pure function of `(program, policy)` — via
-/// the stable body fingerprint and the policy's scheduling parameters —
-/// so the whole oracle stays deterministic and shrinkable.
-fn incremental_matches(
-    program: &Program,
-    policy: SchedPolicy,
-    inst: &Instrumented,
-) -> Option<Divergence> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "bigfoot-fuzz-inc-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = InstrumentOptions::default();
-
-    let diverge = |detail: String| {
-        let _ = std::fs::remove_dir_all(&dir);
-        Some(Divergence::new(OracleKind::Incremental, detail))
-    };
-
-    let (cold, cold_stats) = instrument_incremental(program, opts, &dir);
-    if cold.program != inst.program {
-        return diverge(format!(
-            "cold incremental placement differs from direct instrumentation \
-             ({} hit(s) on an empty cache)",
-            cold_stats.hits
-        ));
-    }
-
-    // Deterministic mutation: body fingerprints are stable across runs,
-    // and the policy folds in so different schedules of the same program
-    // explore different edits.
-    let fp = fingerprint_block(&program.main)
-        ^ match policy {
-            SchedPolicy::RoundRobin { quantum } => quantum as u64,
-            SchedPolicy::Random { seed, switch_inv } => seed.rotate_left(7) ^ switch_inv as u64,
-        };
-    let sites = site_count(program);
-    let site = (fp % sites as u64) as usize;
-    let kind = MutationKind::ALL[(fp >> 8) as usize % MutationKind::ALL.len()];
-    let salt = (fp % 97) as i64;
-    let mut edited = program.clone();
-    let Some(edited_name) = mutate(&mut edited, site, kind, salt) else {
-        let _ = std::fs::remove_dir_all(&dir);
-        return None;
-    };
-
-    let direct = instrument(&edited);
-    let (warm, warm_stats) = instrument_incremental(&edited, opts, &dir);
-    if !warm_stats.warm {
-        return diverge("the cache written by the cold run was not usable on the warm run".into());
-    }
-    if warm_stats.hits + warm_stats.misses != sites {
-        return diverge(format!(
-            "warm run accounted for {} site(s), program has {sites}",
-            warm_stats.hits + warm_stats.misses
-        ));
-    }
-    if warm.program != direct.program {
-        return diverge(format!(
-            "warm replay after a {} edit to {edited_name} diverges from a cold run \
-             ({} hit(s), {} miss(es))",
-            kind.name(),
-            warm_stats.hits,
-            warm_stats.misses
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
     None
 }
 

@@ -112,11 +112,58 @@ fn usage_errors_exit_2() {
         bfc(&["check", &clean, "--schedules", "abc"]).status.code(),
         Some(2)
     );
-    // Removed surface: the pipelined and sharded detection flags are
-    // rejected, never ignored.
+    // A sweep of no schedules has no verdict, and one whose last seed
+    // would pass u64::MAX has no seed to run.
+    for args in [
+        &["check", &clean, "--schedules", "0"][..],
+        &["check", &clean, "--schedules", "0", "--json"],
+        &[
+            "check",
+            &clean,
+            "--seed",
+            "18446744073709551615",
+            "--schedules",
+            "2",
+        ],
+    ] {
+        let out = bfc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}"
+        );
+    }
+    // The largest seed still runs as a single schedule.
+    assert_eq!(
+        bfc(&["check", &clean, "--seed", "18446744073709551615"])
+            .status
+            .code(),
+        Some(0)
+    );
+    // Removed surface and flags a command does not read are rejected,
+    // never ignored: the pipelined and sharded detection flags, the
+    // placement cache's commands and flags, and flags that belong to
+    // another command.
+    let trace = std::env::temp_dir()
+        .join("bfc-cli-tests")
+        .join("clean6.bftr");
+    let trace = trace.to_string_lossy().into_owned();
+    assert_eq!(
+        bfc(&["check", &clean, "--record-out", &trace])
+            .status
+            .code(),
+        Some(0)
+    );
     for args in [
         &["check", &clean, "--pipeline"][..],
         &["check", &clean, "--detect-workers", "2"],
+        &["analyze", &clean],
+        &["mutate", &clean],
+        &["check", &clean, "--incremental"],
+        &["check", &clean, "--cache-dir", "zz"],
+        &["run", &clean, "--compiled", "--replay-workers", "3"],
+        &["replay", &trace, "--compiled", "--seed", "5"],
     ] {
         let out = bfc(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

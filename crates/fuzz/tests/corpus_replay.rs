@@ -36,7 +36,7 @@ fn smoke_campaign_finds_no_divergence() {
         shrink_budget: 100,
     });
     assert_eq!(report.cases, 40);
-    assert_eq!(report.oracle_runs, [40; 6]);
+    assert_eq!(report.oracle_runs, [40; 5]);
     assert!(
         report.divergences.is_empty(),
         "divergences: {:#?}",

@@ -66,7 +66,7 @@ fn check_json_schema_and_exit_codes() {
         "racy program still exits 1 under --json"
     );
     let report = parse_stdout(&out);
-    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(2));
+    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(3));
     assert_eq!(report.get("tool").and_then(Json::as_str), Some("bfc"));
     assert_eq!(report.get("command").and_then(Json::as_str), Some("check"));
     assert_eq!(

@@ -21,9 +21,8 @@
 //! offline), so it also hosts a few small pieces of shared plumbing its
 //! consumers would otherwise duplicate: a minimal JSON tree with
 //! serializer and parser ([`json`]), the CLI argument parser shared by
-//! `bfc` and `repro` ([`cli`]), a fast non-cryptographic hasher for
-//! integer-keyed hot-path maps ([`fx`]), and a seed-free versioned hasher
-//! for fingerprints that persist across processes ([`stable`]).
+//! `bfc` and `repro` ([`cli`]), and a fast non-cryptographic hasher for
+//! integer-keyed hot-path maps ([`fx`]).
 //!
 //! # Examples
 //!
@@ -45,7 +44,6 @@ pub mod fx;
 pub mod json;
 pub mod prometheus;
 mod registry;
-pub mod stable;
 pub mod trace;
 
 pub use prometheus::prometheus_text;
